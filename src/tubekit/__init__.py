@@ -33,6 +33,7 @@ from .linking import (
     ActionTube,
     LinkParams,
     MicroTubeDetection,
+    OnlineLinker,
     PredictionPayload,
     build_tubes,
     link_step,
@@ -83,6 +84,7 @@ __all__ = [
     "MicroTubeDetection",
     "MicroTubeTarget",
     "OffsetCode",
+    "OnlineLinker",
     "PredictionHorizon",
     "PredictionPayload",
     "PriorBoxSet",

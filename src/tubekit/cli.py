@@ -227,6 +227,13 @@ def _load_inputs(cfg: RunConfig):
         raise dataio.DataFormatError(
             f"{cfg.detections}: detections for videos missing from the manifest: {sorted(unknown)}"
         )
+    for video_id, group in records.items():
+        last = group[-1]  # records are time-ordered with one delta per file
+        num_frames = manifest.videos[video_id].num_frames
+        if last.t + last.delta > num_frames:
+            raise dataio.DataFormatError(f"{cfg.detections}: video {video_id!r} has a detection "
+                                         f"at t={last.t} with delta={last.delta} "
+                                         f"past its {num_frames} frames")
     return manifest, dataio.detections_to_streams(records)
 
 

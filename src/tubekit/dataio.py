@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .anchors import PriorBoxSpec
 from .geometry import BoundingBox, FrameSize
 from .linking import ActionTube, MicroTubeDetection, PredictionPayload
 from .metrics import AVG_DELTA, EvalReport, GroundTruthTube
@@ -77,10 +77,17 @@ class DetectionRecord:
             raise ValueError(f"delta must be >= 1, got {self.delta}")
         if len(self.microtube) != 8:
             raise ValueError(f"micro-tube needs 8 coordinates, got {len(self.microtube)}")
+        if not all(map(math.isfinite, self.microtube)):
+            raise ValueError(f"non-finite micro-tube coordinates {self.microtube}")
+        x1, y1, x2, y2, x3, y3, x4, y4 = self.microtube
+        if x1 > x2 or y1 > y2 or x3 > x4 or y3 > y4:
+            raise ValueError(f"inverted micro-tube box in {self.microtube}")
         if self.prediction is not None and len(self.prediction) != 4 * (1 + n):
             raise ValueError(
                 f"prediction needs {4 * (1 + n)} coordinates for n={n}, got {len(self.prediction)}"
             )
+        if self.prediction is not None and not all(map(math.isfinite, self.prediction)):
+            raise ValueError(f"non-finite prediction coordinates {self.prediction}")
         if len(self.scores) < 2:
             raise ValueError(f"need at least 2 class scores, got {len(self.scores)}")
         total = sum(self.scores)
@@ -496,39 +503,7 @@ CONFIG_KEYS = {
     "epsilon": float,
     "tolerance": float,
     "tag": str,
-    "priors": dict,
 }
-
-
-def prior_spec_to_config(spec: PriorBoxSpec) -> dict:
-    """Serialize a prior-box layout for the ``priors`` config key."""
-    return {
-        "grids": [list(g) for g in spec.grids],
-        "scales": list(spec.scales),
-        "aspect_ratios": list(spec.aspect_ratios),
-        "width": spec.frame.width,
-        "height": spec.frame.height,
-    }
-
-
-def prior_spec_from_config(obj: dict, where: str = "config") -> PriorBoxSpec:
-    """Parse the ``priors`` config key back into a prior-box layout."""
-    expected = {"grids", "scales", "aspect_ratios", "width", "height"}
-    if not isinstance(obj, dict) or obj.keys() != expected:
-        _fail(where, f"priors must be an object with keys {sorted(expected)}")
-    try:
-        return PriorBoxSpec(
-            grids=tuple((_as_int(g[0], where, "grid rows"), _as_int(g[1], where, "grid cols"))
-                        for g in obj["grids"]),
-            scales=tuple(_as_number_list(obj["scales"], where, "scales")),
-            aspect_ratios=tuple(_as_number_list(obj["aspect_ratios"], where, "aspect_ratios")),
-            frame=FrameSize(_as_int(obj["width"], where, "width"),
-                            _as_int(obj["height"], where, "height")),
-        )
-    except DataFormatError:
-        raise
-    except (TypeError, ValueError, IndexError) as exc:
-        _fail(where, f"invalid priors: {exc}")
 
 
 def read_config(path: str) -> dict:

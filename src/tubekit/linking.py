@@ -11,6 +11,7 @@ scored by class score plus a weighted IoU term. Linking is sequential per
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .geometry import BoundingBox, iou, paired_mean_iou
@@ -240,6 +241,73 @@ def _finalize(tube: ActiveTube) -> ActionTube:
     )
 
 
+class OnlineLinker:
+    """Causal linker over one video's micro-tube stream.
+
+    :meth:`push` links one frame's micro-tubes; :meth:`snapshot` returns the
+    tubes that :func:`build_tubes` would build from the stream pushed so far.
+    """
+
+    def __init__(self, num_classes: int, params: LinkParams = LinkParams()) -> None:
+        if num_classes < 1:
+            raise ValueError(f"need at least one real class, got {num_classes}")
+        self.num_classes = num_classes
+        self.params = params
+        self._delta: int | None = None
+        self._t_first = self._t_last = 0
+        self._active: list[list[ActiveTube]] = [[] for _ in range(num_classes)]
+        self._closed: list[list[ActiveTube]] = [[] for _ in range(num_classes)]
+
+    def push(self, step: Sequence[MicroTubeDetection]) -> None:
+        """Link all micro-tubes of one frame; frames come in increasing order.
+
+        Lattice steps skipped since the previous push are first advanced as
+        empty steps, so the clock only runs up to the last frame that carried
+        detections. Per class and step: drop micro-tubes scoring below
+        ``score_threshold``, run NMS, :func:`link_step`, then close tubes
+        that missed ``patience`` steps. An empty ``step`` is a no-op.
+        """
+        if not step:
+            return
+        t = step[0].t
+        if self._delta is None:  # the lattice starts at the first pushed frame
+            self._delta, self._t_first, self._t_last = step[0].delta, t, t - step[0].delta
+        delta, params = self._delta, self.params
+        for det in step:
+            if det.delta != delta:
+                raise ValueError(f"mixed frame gaps in stream: {det.delta} vs {delta}")
+            if len(det.class_scores) != self.num_classes + 1:
+                raise ValueError(f"detection carries {len(det.class_scores)} scores, "
+                                 f"expected {self.num_classes + 1}")
+            if det.t != t:
+                raise ValueError("temporal discontinuity: detections from mixed frames in one step")
+        if t <= self._t_last:
+            raise ValueError(f"unsorted stream: frame {t} after {self._t_last}")
+        if (t - self._t_first) % delta != 0:
+            raise ValueError(f"temporal discontinuity: step at frame {t} is off the stride {delta}")
+        skipped = (t - self._t_last) // delta - 1
+        for frame_dets in [()] * skipped + [step]:
+            for class_id in range(self.num_classes):
+                dets = [d for d in frame_dets if d.class_scores[class_id] >= params.score_threshold]
+                if dets:
+                    keep = nms([d.pair for d in dets], [d.class_scores[class_id] for d in dets],
+                               params.nms_threshold)
+                    dets = [dets[i] for i in keep]
+                active = link_step(self._active[class_id], dets, class_id, params)
+                self._closed[class_id] += [a for a in active if a.missed >= params.patience]
+                self._active[class_id] = [a for a in active if a.missed < params.patience]
+        self._t_last = t
+
+    def snapshot(self) -> list[ActionTube]:
+        """Finalise closed then open tubes of each class, sorted by descending
+        tube score (mean member class score), ties by class then creation order."""
+        finished = [_finalize(tube) for closed, active in zip(self._closed, self._active)
+                    for tube in closed + active]
+        order = sorted(range(len(finished)),
+                       key=lambda i: (-finished[i].tube_score, finished[i].class_id, i))
+        return [finished[i] for i in order]
+
+
 def build_tubes(
     stream: Iterable[MicroTubeDetection],
     num_classes: int,
@@ -253,59 +321,11 @@ def build_tubes(
     detections still advance the clock, so noisy streams with dropped
     frame pairs stay aligned.
 
-    The result is deterministic for a given stream; tubes are sorted by
-    descending tube score (mean member class score), ties by class then
-    creation order.
+    This is one :class:`OnlineLinker` pass over the stream. The result is
+    deterministic for a given stream; tubes are sorted by descending tube
+    score (mean member class score), ties by class then creation order.
     """
-    detections = list(stream)
-    if num_classes < 1:
-        raise ValueError(f"need at least one real class, got {num_classes}")
-    if not detections:
-        return []
-
-    delta = detections[0].delta
-    groups: dict[int, list[MicroTubeDetection]] = {}
-    prev_t = None
-    for det in detections:
-        if det.delta != delta:
-            raise ValueError(f"mixed frame gaps in stream: {det.delta} vs {delta}")
-        if len(det.class_scores) != num_classes + 1:
-            raise ValueError(
-                f"detection carries {len(det.class_scores)} scores, expected {num_classes + 1}"
-            )
-        if prev_t is not None and det.t < prev_t:
-            raise ValueError(f"unsorted stream: frame {det.t} after {prev_t}")
-        prev_t = det.t
-        groups.setdefault(det.t, []).append(det)
-
-    t_first, t_last = min(groups), max(groups)
-    for t in groups:
-        if (t - t_first) % delta != 0:
-            raise ValueError(f"temporal discontinuity: step at frame {t} is off the stride {delta}")
-    lattice = range(t_first, t_last + 1, delta)
-
-    finished: list[ActionTube] = []
-    for class_id in range(num_classes):
-        active: list[ActiveTube] = []
-        closed: list[ActiveTube] = []
-        for t in lattice:
-            step = [
-                d for d in groups.get(t, [])
-                if d.class_scores[class_id] >= params.score_threshold
-            ]
-            if step:
-                keep = nms([d.pair for d in step],
-                           [d.class_scores[class_id] for d in step],
-                           params.nms_threshold)
-                step = [step[i] for i in keep]
-            active = link_step(active, step, class_id, params)
-            still = []
-            for tube in active:
-                (closed if tube.missed >= params.patience else still).append(tube)
-            active = still
-        closed.extend(active)
-        finished.extend(_finalize(tube) for tube in closed)
-
-    order = sorted(range(len(finished)),
-                   key=lambda i: (-finished[i].tube_score, finished[i].class_id, i))
-    return [finished[i] for i in order]
+    linker = OnlineLinker(num_classes, params)
+    for _, step in groupby(stream, key=lambda d: d.t):
+        linker.push(list(step))
+    return linker.snapshot()

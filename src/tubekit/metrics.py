@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Mapping, Sequence
 
 from .geometry import BoundingBox, FrameSize, iou
-from .linking import ActionTube, LinkParams, MicroTubeDetection, build_tubes
+from .linking import ActionTube, LinkParams, MicroTubeDetection, OnlineLinker
 from .prediction import PredictionHorizon, early_label, predict_full_tube
 
 AVG_DELTA = "avg"
@@ -250,20 +251,19 @@ def evaluate_sweep(
     percentages: Sequence[int],
     link_params: LinkParams = LinkParams(),
     aggregate: str = "latest",
-    truncate_online_gt: bool = True,
 ) -> EvalReport:
     """Run the full protocol over a grid of observation percentages.
 
-    For each video and percentage q the detection stream is truncated to
-    micro-tubes fully inside the observed prefix, tubes are built and
-    completed to the video end, then label accuracy, online mAP (against
-    ground truth truncated to the observed prefix unless
-    ``truncate_online_gt`` is False), p-mAP (future segments only) and
-    c-mAP (full tubes) are aggregated per class and averaged. Detection
-    mAP rows are emitted when 100 percent observation is requested. The
-    "avg" threshold rows appear whenever the 0.5:0.05:0.95 grid is fully
-    contained in ``deltas``. p-mAP cells are absent when no video has
-    unobserved frames left (notably at q = 100).
+    Linking is one causal pass per video, snapshotted at each frontier:
+    for percentage q the video's :class:`OnlineLinker` is pushed the
+    micro-tubes fully inside the observed prefix that it has not seen yet,
+    and its snapshot is completed to the video end. Label accuracy, online
+    mAP (against ground truth truncated to the observed prefix), p-mAP
+    (future segments only) and c-mAP (full tubes) are then aggregated per
+    class and averaged. Detection mAP rows are emitted when 100 percent
+    observation is requested. The "avg" threshold rows appear whenever the
+    0.5:0.05:0.95 grid is fully contained in ``deltas``. p-mAP cells are
+    absent when no video has unobserved frames left (notably at q = 100).
     """
     percentages = sorted(set(percentages))
     for q in percentages:
@@ -315,6 +315,8 @@ def evaluate_sweep(
                     per_class.append((c, sum(vals) / len(vals)))
             report.cells.append(EvalCell(metric, AVG_DELTA, q, mean, tuple(per_class)))
 
+    linkers = {video_id: OnlineLinker(num_classes, link_params) for video_id in video_meta}
+    pushed = dict.fromkeys(video_meta, 0)
     for q in percentages:
         full_tubes: dict[str, tuple[int, list[ActionTube]]] = {}
         for video_id, (num_frames, frame) in video_meta.items():
@@ -323,10 +325,14 @@ def evaluate_sweep(
                 d for d in detections_by_video.get(video_id, [])
                 if d.t + d.delta <= f_obs
             ]
-            tubes = build_tubes(stream, num_classes, link_params)
+            linker = linkers[video_id]
+            # Percentages ascend, so each observed stream extends the last one.
+            for _, step in groupby(stream[pushed[video_id]:], key=lambda d: d.t):
+                linker.push(list(step))
+            pushed[video_id] = len(stream)
             completed = [
                 predict_full_tube(t, f_obs, num_frames, horizon, frame, aggregate)
-                for t in tubes
+                for t in linker.snapshot()
             ]
             full_tubes[video_id] = (f_obs, completed)
 
@@ -343,7 +349,6 @@ def evaluate_sweep(
             for kind in ("online_map", "p_map", "c_map")
         }
         for video_id, (f_obs, tubes) in full_tubes.items():
-            num_frames = video_meta[video_id][0]
             for tube in tubes:
                 if tube.class_id not in pools["online_map"]:
                     continue
@@ -356,9 +361,7 @@ def evaluate_sweep(
             for video_id, tubes in gt_by_class[c].items():
                 f_obs = full_tubes[video_id][0]
                 num_frames = video_meta[video_id][0]
-                online = [
-                    _truncate(g, 1, f_obs) if truncate_online_gt else dict(g) for g in tubes
-                ]
+                online = [_truncate(g, 1, f_obs) for g in tubes]
                 future = [m for m in (_truncate(g, f_obs + 1, num_frames) for g in tubes) if m]
                 pools["online_map"][c][1][video_id] = online
                 if future:
@@ -370,17 +373,9 @@ def evaluate_sweep(
         add_map_cells("c_map", q, pools["c_map"])
 
         if q == 100:
-            det_pools = {c: ([], {}) for c in class_ids}
-            for video_id, (f_obs, tubes) in full_tubes.items():
-                for tube in tubes:
-                    if tube.class_id in det_pools:
-                        det_pools[tube.class_id][0].append(
-                            (video_id, tube.tube_score, tube.detected)
-                        )
-            for c in class_ids:
-                for video_id, tubes in gt_by_class[c].items():
-                    det_pools[c][1][video_id] = [dict(g) for g in tubes]
-            add_map_cells("detection_map", 100, det_pools)
+            # Fully observed, the online pools hold the detected segments
+            # against whole ground-truth tubes, which is detection mAP.
+            add_map_cells("detection_map", 100, pools["online_map"])
 
     report.cells.sort(
         key=lambda c: (METRIC_ORDER.index(c.metric), EvalReport._delta_key(c.delta), c.observed_pct)

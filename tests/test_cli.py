@@ -132,6 +132,20 @@ class TestErrors:
         assert run(["check-loss", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_detection_past_video_end(self, dataset, tmp_path, capsys):
+        # The synth videos have 30 frames; a micro-tube at t = 30 ends on frame 31.
+        path = dataset["dir"] / "detections.jsonl"
+        record = json.loads(path.read_text().splitlines()[-1])
+        record["t"] = 30
+        with path.open("a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        io = ["--detections", str(path), "--manifest", dataset["manifest"]]
+        for command in ("link", "predict", "eval", "sweep"):
+            assert run([command, *io, "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert f"{path}: video {record['video']!r} has a detection at t=30" in err
+            assert "delta=1 past its 30 frames" in err
+
     def test_detections_for_unknown_video(self, dataset, tmp_path, capsys):
         other = tmp_path / "other"
         assert run(["synth", "--out-dir", str(other), "--videos", "6",

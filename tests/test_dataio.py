@@ -66,14 +66,24 @@ class TestDetectionRecords:
     def test_bad_coordinate_count_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         good = sample_record()
-        obj = {
-            "video": good.video_id, "t": 1, "delta": 1, "horizon": [0, 5, 2],
-            "microtube": list(good.microtube)[:7],
-            "prediction": list(good.prediction), "scores": list(good.scores),
-        }
-        path.write_text(json.dumps(obj) + "\n")
-        with pytest.raises(DataFormatError, match=r"bad\.jsonl:1.*8 coordinates"):
-            read_detections(str(path))
+        microtube, prediction = list(good.microtube), list(good.prediction)
+        x_min, y_min, x_max, y_max = microtube[4:8]
+        # json.loads accepts NaN and Infinity, so the record itself must reject them.
+        cases = [
+            ({"microtube": microtube[:7]}, "8 coordinates"),
+            ({"microtube": microtube[:2] + [float("nan")] + microtube[3:]}, "non-finite micro-tube"),
+            ({"microtube": microtube[:4] + [x_max, y_min, x_min, y_max]}, "inverted micro-tube"),
+            ({"prediction": prediction[:-1] + [float("inf")]}, "non-finite prediction"),
+        ]
+        for change, message in cases:
+            obj = {
+                "video": good.video_id, "t": 1, "delta": 1, "horizon": [0, 5, 2],
+                "microtube": microtube, "prediction": prediction, "scores": list(good.scores),
+                **change,
+            }
+            path.write_text(json.dumps(obj) + "\n")
+            with pytest.raises(DataFormatError, match=rf"bad\.jsonl:1.*{message}"):
+                read_detections(str(path))
 
     def test_score_sum_violation(self, tmp_path):
         path = tmp_path / "scores.jsonl"
@@ -283,27 +293,12 @@ class TestConfig:
         cfg = read_config(str(path))
         assert cfg["seed"] == 3
 
-    def test_prior_spec_roundtrips_through_config(self, tmp_path):
-        from tubekit.anchors import default_prior_spec
-        from tubekit.dataio import prior_spec_from_config, prior_spec_to_config
-
-        spec = default_prior_spec(FrameSize(300, 300))
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"priors": prior_spec_to_config(spec)}))
-        cfg = read_config(str(path))
-        assert prior_spec_from_config(cfg["priors"]) == spec
-
-    def test_malformed_prior_spec_rejected(self):
-        from tubekit.dataio import prior_spec_from_config
-
-        with pytest.raises(DataFormatError, match="priors"):
-            prior_spec_from_config({"grids": [[1, 1]]})
-
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"bogus": 1}))
-        with pytest.raises(DataFormatError, match="unknown config key"):
-            read_config(str(path))
+        for doc in ({"bogus": 1}, {"priors": {}}):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DataFormatError, match="unknown config key"):
+                read_config(str(path))
 
     def test_wrong_type_rejected(self, tmp_path):
         path = tmp_path / "c.json"

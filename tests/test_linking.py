@@ -1,3 +1,7 @@
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable
+
 import numpy as np
 import pytest
 
@@ -7,11 +11,15 @@ from tubekit.linking import (
     ActiveTube,
     LinkParams,
     MicroTubeDetection,
+    OnlineLinker,
     PredictionPayload,
+    _finalize,
     build_tubes,
     link_step,
     nms,
 )
+from tubekit.metrics import observed_frames
+from tubekit.synth import NoiseModel, lane_dataset
 
 
 def scores_for(class_id, num_classes, confidence=0.9):
@@ -283,6 +291,166 @@ class TestBuildTubes:
         box = BoundingBox(10, 10, 50, 50)
         with pytest.raises(ValueError, match="mixed frame gaps"):
             build_tubes([det(1, box, delta=1), det(2, box, delta=2)], num_classes=2)
+
+
+def reference_build_tubes(
+    stream: Iterable[MicroTubeDetection],
+    num_classes: int,
+    params: LinkParams = LinkParams(),
+) -> list[ActionTube]:
+    """Class-outer batch linker: the implementation OnlineLinker replaced.
+
+    Kept verbatim as the oracle for OnlineLinker and build_tubes.
+
+    Per class and per step: drop micro-tubes scoring below
+    ``score_threshold``, run NMS, then :func:`link_step`. Tubes that miss
+    ``patience`` consecutive steps are closed. Steps with no surviving
+    detections still advance the clock, so noisy streams with dropped
+    frame pairs stay aligned.
+
+    The result is deterministic for a given stream; tubes are sorted by
+    descending tube score (mean member class score), ties by class then
+    creation order.
+    """
+    detections = list(stream)
+    if num_classes < 1:
+        raise ValueError(f"need at least one real class, got {num_classes}")
+    if not detections:
+        return []
+
+    delta = detections[0].delta
+    groups: dict[int, list[MicroTubeDetection]] = {}
+    prev_t = None
+    for det in detections:
+        if det.delta != delta:
+            raise ValueError(f"mixed frame gaps in stream: {det.delta} vs {delta}")
+        if len(det.class_scores) != num_classes + 1:
+            raise ValueError(
+                f"detection carries {len(det.class_scores)} scores, expected {num_classes + 1}"
+            )
+        if prev_t is not None and det.t < prev_t:
+            raise ValueError(f"unsorted stream: frame {det.t} after {prev_t}")
+        prev_t = det.t
+        groups.setdefault(det.t, []).append(det)
+
+    t_first, t_last = min(groups), max(groups)
+    for t in groups:
+        if (t - t_first) % delta != 0:
+            raise ValueError(f"temporal discontinuity: step at frame {t} is off the stride {delta}")
+    lattice = range(t_first, t_last + 1, delta)
+
+    finished: list[ActionTube] = []
+    for class_id in range(num_classes):
+        active: list[ActiveTube] = []
+        closed: list[ActiveTube] = []
+        for t in lattice:
+            step = [
+                d for d in groups.get(t, [])
+                if d.class_scores[class_id] >= params.score_threshold
+            ]
+            if step:
+                keep = nms([d.pair for d in step],
+                           [d.class_scores[class_id] for d in step],
+                           params.nms_threshold)
+                step = [step[i] for i in keep]
+            active = link_step(active, step, class_id, params)
+            still = []
+            for tube in active:
+                (closed if tube.missed >= params.patience else still).append(tube)
+            active = still
+        closed.extend(active)
+        finished.extend(_finalize(tube) for tube in closed)
+
+    order = sorted(range(len(finished)),
+                   key=lambda i: (-finished[i].tube_score, finished[i].class_id, i))
+    return [finished[i] for i in order]
+
+
+def frontier_snapshots(stream, num_frames, num_classes, params):
+    """One OnlineLinker pass over a video, snapshotted at every 10 % frontier.
+
+    Yields (truncated stream, observed frames, snapshot) per percentage.
+    """
+    linker = OnlineLinker(num_classes, params)
+    pushed = 0
+    for q in range(10, 101, 10):
+        f_obs = observed_frames(num_frames, q)
+        observed = [d for d in stream if d.t + d.delta <= f_obs]
+        for _, step in groupby(observed[pushed:], key=attrgetter("t")):
+            linker.push(list(step))
+        pushed = len(observed)
+        yield observed, f_obs, linker.snapshot()
+
+
+CLEAN_SET = dict(seed=3, num_videos=6, num_classes=3, num_actors=3, num_frames=40)
+# Misses this high leave whole frame pairs empty, so frontiers fall after
+# trailing empty steps; delta 2 puts the lattice on a stride. Zero score
+# temperature gives equal tube scores, whose order is creation order.
+NOISY_SET = dict(seed=5, num_videos=6, num_classes=3, num_actors=3, num_frames=60, delta=2,
+                 noise=NoiseModel(center_sigma=2.0, size_sigma=2.0,
+                                  false_positive_rate=0.3, miss_rate=0.6))
+
+
+class TestOnlineLinker:
+    @pytest.mark.parametrize("params", [LinkParams(), LinkParams(patience=2)],
+                             ids=["patience1", "patience2"])
+    @pytest.mark.parametrize("dataset", [CLEAN_SET, NOISY_SET], ids=["clean", "noisy"])
+    def test_snapshots_match_reference_on_truncated_streams(self, dataset, params):
+        manifest, streams = lane_dataset(**dataset)
+        trailing_empty = 0
+        for video_id, entry in manifest.videos.items():
+            snapshots = frontier_snapshots(streams[video_id], entry.num_frames,
+                                           manifest.num_classes, params)
+            for observed, f_obs, snapshot in snapshots:
+                expected = reference_build_tubes(observed, manifest.num_classes, params)
+                assert snapshot == expected
+                for got, want in zip(snapshot, expected):
+                    assert all(a is b for a, b in zip(got.members, want.members))
+                assert build_tubes(observed, manifest.num_classes, params) == expected
+                if observed and observed[-1].t + 2 * observed[-1].delta <= f_obs:
+                    trailing_empty += 1
+        if dataset is NOISY_SET:
+            assert trailing_empty > 0
+
+    def test_snapshot_does_not_disturb_linking(self):
+        stream = walking_detections(BoundingBox(10, 20, 50, 80), range(1, 9))
+        linker = OnlineLinker(num_classes=2)
+        for d in stream:
+            linker.push([d])
+            linker.snapshot()
+        assert linker.snapshot() == reference_build_tubes(stream, num_classes=2)
+
+    def test_empty_push_is_a_no_op(self):
+        linker = OnlineLinker(num_classes=2)
+        linker.push([])
+        assert linker.snapshot() == []
+
+    @pytest.mark.parametrize("first, second", [
+        ([det(1, BoundingBox(10, 10, 50, 50), delta=1)],
+         [det(2, BoundingBox(10, 10, 50, 50), delta=2)]),
+        ([det(1, BoundingBox(10, 10, 50, 50))],
+         [det(2, BoundingBox(10, 10, 50, 50), num_classes=3)]),
+        ([det(3, BoundingBox(10, 10, 50, 50))],
+         [det(1, BoundingBox(10, 10, 50, 50))]),
+        ([det(1, BoundingBox(10, 10, 50, 50), delta=2)],
+         [det(4, BoundingBox(10, 10, 50, 50), delta=2)]),
+    ], ids=["mixed_delta", "score_count", "out_of_order", "off_stride"])
+    def test_push_errors_match_build_tubes(self, first, second):
+        with pytest.raises(ValueError) as batch:
+            reference_build_tubes(first + second, num_classes=2)
+        linker = OnlineLinker(num_classes=2)
+        linker.push(first)
+        with pytest.raises(ValueError) as online:
+            linker.push(second)
+        assert str(online.value) == str(batch.value)
+        with pytest.raises(ValueError) as rebuilt:
+            build_tubes(first + second, num_classes=2)
+        assert str(rebuilt.value) == str(batch.value)
+
+    def test_mixed_frames_in_one_push_rejected(self):
+        box = BoundingBox(10, 10, 50, 50)
+        with pytest.raises(ValueError, match="mixed frames in one step"):
+            OnlineLinker(num_classes=2).push([det(1, box), det(2, box)])
 
 
 class TestActionTubeInvariants:

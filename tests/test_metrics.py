@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tubekit.geometry import BoundingBox, FrameSize
-from tubekit.linking import LinkParams
+from tubekit.linking import LinkParams, OnlineLinker
 from tubekit.metrics import (
     AVG_DELTA,
     AVG_MAP_GRID,
@@ -280,6 +280,27 @@ class TestEvaluateSweep:
             frames = max((len(t.detected) for t in tubes), default=0)
             assert frames >= prev
             prev = frames
+
+    def test_each_detection_linked_once_per_sweep(self, monkeypatch):
+        pushed = []
+        push = OnlineLinker.push
+
+        def recording_push(linker, step):
+            pushed.extend(step)
+            push(linker, step)
+
+        monkeypatch.setattr(OnlineLinker, "push", recording_push)
+        manifest, streams = lane_dataset(seed=7, num_videos=6, num_classes=3)
+        evaluate_sweep(
+            detections_by_video=streams,
+            video_meta=manifest.video_meta(),
+            gt_tubes=manifest.all_tubes(),
+            num_classes=manifest.num_classes,
+            horizon=PredictionHorizon(0, 5, 3),
+            deltas=(0.5,),
+            percentages=range(10, 101, 10),
+        )
+        assert sorted(map(id, pushed)) == sorted(id(d) for s in streams.values() for d in s)
 
     def test_percentage_zero_rejected(self):
         manifest, streams = lane_dataset(seed=3, num_videos=1, num_classes=1)
