@@ -7,9 +7,13 @@ Formats (all coordinates are absolute pixels):
   ``[delta_p, delta_f, n]``, ``microtube`` (8 floats: box at t then box at
   t+delta, each x_min,y_min,x_max,y_max), ``prediction`` (``4*(1+n)``
   floats: past box slot then n future boxes, or null), ``scores``
-  (C+1 floats summing to 1, background last). ``delta``, ``horizon`` and
-  the score count must agree across the whole file; records must be
-  time-ordered within each video.
+  (C+1 non-negative floats summing to 1, background last). ``delta``,
+  ``horizon`` and the score count must agree across the whole file;
+  records must be time-ordered within each video. Each line is read
+  straight into a :class:`~tubekit.linking.MicroTubeDetection`. The past
+  slot is always read and checked finite, but it is kept (as
+  ``past_box``) only when ``delta_p > 0``; the writer fills it with the
+  box at t when a detection carries no past box.
 
 * Manifest: one JSON document with ``classes`` (C names; tube class ids
   are indices into it) and ``videos``, each with ``id``, ``frames``,
@@ -57,90 +61,9 @@ def _fail(where: str, message: str) -> None:
     raise DataFormatError(f"{where}: {message}")
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    """Serialized form of one micro-tube detection."""
-
-    video_id: str
-    t: int
-    delta: int
-    horizon: tuple[int, int, int]
-    microtube: tuple[float, ...]
-    prediction: tuple[float, ...] | None
-    scores: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        delta_p, delta_f, n = self.horizon
-        if delta_p < 0 or delta_f < 1 or n < 0:
-            raise ValueError(f"invalid horizon {self.horizon}")
-        if self.delta < 1:
-            raise ValueError(f"delta must be >= 1, got {self.delta}")
-        if len(self.microtube) != 8:
-            raise ValueError(f"micro-tube needs 8 coordinates, got {len(self.microtube)}")
-        if not all(map(math.isfinite, self.microtube)):
-            raise ValueError(f"non-finite micro-tube coordinates {self.microtube}")
-        x1, y1, x2, y2, x3, y3, x4, y4 = self.microtube
-        if x1 > x2 or y1 > y2 or x3 > x4 or y3 > y4:
-            raise ValueError(f"inverted micro-tube box in {self.microtube}")
-        if self.prediction is not None and len(self.prediction) != 4 * (1 + n):
-            raise ValueError(
-                f"prediction needs {4 * (1 + n)} coordinates for n={n}, got {len(self.prediction)}"
-            )
-        if self.prediction is not None and not all(map(math.isfinite, self.prediction)):
-            raise ValueError(f"non-finite prediction coordinates {self.prediction}")
-        if len(self.scores) < 2:
-            raise ValueError(f"need at least 2 class scores, got {len(self.scores)}")
-        total = sum(self.scores)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"class scores must sum to 1 within 1e-6, got {total}")
-
-    def to_detection(self) -> MicroTubeDetection:
-        """Parse the raw coordinate arrays into geometry objects."""
-        delta_p, _, n = self.horizon
-        payload = None
-        if self.prediction is not None:
-            past = BoundingBox(*self.prediction[0:4]) if delta_p > 0 else None
-            future = tuple(
-                BoundingBox(*self.prediction[4 * k: 4 * k + 4]) for k in range(1, n + 1)
-            )
-            payload = PredictionPayload(future_boxes=future, past_box=past)
-        return MicroTubeDetection(
-            t=self.t,
-            delta=self.delta,
-            box_t=BoundingBox(*self.microtube[0:4]),
-            box_t_plus_delta=BoundingBox(*self.microtube[4:8]),
-            class_scores=self.scores,
-            predictions=payload,
-        )
-
-    @classmethod
-    def from_detection(
-        cls,
-        video_id: str,
-        det: MicroTubeDetection,
-        horizon: PredictionHorizon,
-    ) -> "DetectionRecord":
-        """Flatten a detection; the past slot falls back to the box at t."""
-        prediction = None
-        if det.predictions is not None:
-            past = det.predictions.past_box or det.box_t
-            coords = list(past.as_tuple())
-            for box in det.predictions.future_boxes:
-                coords.extend(box.as_tuple())
-            prediction = tuple(coords)
-        return cls(
-            video_id=video_id,
-            t=det.t,
-            delta=det.delta,
-            horizon=(horizon.delta_p, horizon.delta_f, horizon.n),
-            microtube=det.box_t.as_tuple() + det.box_t_plus_delta.as_tuple(),
-            prediction=prediction,
-            scores=tuple(det.class_scores),
-        )
-
-
 def _as_number_list(value: object, where: str, what: str) -> list[float]:
-    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
+    # type(), not isinstance(): JSON true/false load as bool, a subclass of int.
+    if not isinstance(value, list) or not all(type(v) in (float, int) for v in value):
         _fail(where, f"{what} must be a list of numbers, got {value!r}")
     return [float(v) for v in value]
 
@@ -151,10 +74,13 @@ def _as_int(value: object, where: str, what: str) -> int:
     return value
 
 
-def read_detections(path: str) -> dict[str, list[DetectionRecord]]:
+_DETECTION_KEYS = {"video", "t", "delta", "horizon", "microtube", "prediction", "scores"}
+
+
+def read_detections(path: str) -> dict[str, list[MicroTubeDetection]]:
     """Read a detection stream grouped by video, validated and time-ordered."""
-    records: dict[str, list[DetectionRecord]] = {}
-    reference: tuple[int, tuple[int, int, int], int] | None = None
+    streams: dict[str, list[MicroTubeDetection]] = {}
+    reference: tuple[int, tuple[int, ...], int] | None = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             where = f"{path}:{lineno}"
@@ -167,75 +93,126 @@ def read_detections(path: str) -> dict[str, list[DetectionRecord]]:
                 _fail(where, f"invalid JSON ({exc.msg})")
             if not isinstance(obj, dict):
                 _fail(where, "record must be a JSON object")
-            missing = {"video", "t", "delta", "horizon", "microtube", "scores"} - obj.keys()
+            missing = _DETECTION_KEYS - {"prediction"} - obj.keys()
             if missing:
                 _fail(where, f"missing keys {sorted(missing)}")
-            unknown = obj.keys() - {"video", "t", "delta", "horizon", "microtube",
-                                    "prediction", "scores"}
+            unknown = obj.keys() - _DETECTION_KEYS
             if unknown:
                 _fail(where, f"unknown keys {sorted(unknown)}")
-            if not isinstance(obj["video"], str):
-                _fail(where, f"video id must be a string, got {obj['video']!r}")
+            video_id = obj["video"]
+            if not isinstance(video_id, str):
+                _fail(where, f"video id must be a string, got {video_id!r}")
             horizon_raw = obj["horizon"]
             if not (isinstance(horizon_raw, list) and len(horizon_raw) == 3):
                 _fail(where, f"horizon must be [delta_p, delta_f, n], got {horizon_raw!r}")
             horizon = tuple(_as_int(v, where, "horizon entry") for v in horizon_raw)
-            prediction_raw = obj.get("prediction")
-            prediction = (
-                None if prediction_raw is None
-                else tuple(_as_number_list(prediction_raw, where, "prediction"))
-            )
+            t = _as_int(obj["t"], where, "t")
+            delta = _as_int(obj["delta"], where, "delta")
+            microtube = _as_number_list(obj["microtube"], where, "microtube")
+            prediction = obj.get("prediction")
+            if prediction is not None:
+                prediction = _as_number_list(prediction, where, "prediction")
+            scores = tuple(_as_number_list(obj["scores"], where, "scores"))
+            delta_p, delta_f, n = horizon
             try:
-                record = DetectionRecord(
-                    video_id=obj["video"],
-                    t=_as_int(obj["t"], where, "t"),
-                    delta=_as_int(obj["delta"], where, "delta"),
-                    horizon=horizon,
-                    microtube=tuple(_as_number_list(obj["microtube"], where, "microtube")),
-                    prediction=prediction,
-                    scores=tuple(_as_number_list(obj["scores"], where, "scores")),
+                if delta_p < 0 or delta_f < 1 or n < 0:
+                    raise ValueError(f"invalid horizon {horizon}")
+                if len(microtube) != 8:
+                    raise ValueError(f"micro-tube needs 8 coordinates, got {len(microtube)}")
+                if not all(map(math.isfinite, microtube)):
+                    raise ValueError(f"non-finite micro-tube coordinates {microtube}")
+                x1, y1, x2, y2, x3, y3, x4, y4 = microtube
+                if x1 > x2 or y1 > y2 or x3 > x4 or y3 > y4:
+                    raise ValueError(f"inverted micro-tube box in {microtube}")
+                payload = None
+                if prediction is not None:
+                    if len(prediction) != 4 * (1 + n):
+                        raise ValueError(f"prediction needs {4 * (1 + n)} coordinates for n={n}, "
+                                         f"got {len(prediction)}")
+                    # The past slot is checked even when delta_p = 0 leaves it unused.
+                    if not all(map(math.isfinite, prediction)):
+                        raise ValueError(f"non-finite prediction coordinates {prediction}")
+                    payload = PredictionPayload(
+                        future_boxes=tuple(BoundingBox(*prediction[4 * k: 4 * k + 4])
+                                           for k in range(1, n + 1)),
+                        past_box=BoundingBox(*prediction[0:4]) if delta_p > 0 else None,
+                    )
+                det = MicroTubeDetection(
+                    t=t,
+                    delta=delta,
+                    box_t=BoundingBox(x1, y1, x2, y2),
+                    box_t_plus_delta=BoundingBox(x3, y3, x4, y4),
+                    class_scores=scores,
+                    predictions=payload,
                 )
-            except DataFormatError:
-                raise
             except ValueError as exc:
                 _fail(where, str(exc))
-            current = (record.delta, record.horizon, len(record.scores))
+            current = (delta, horizon, len(scores))
             if reference is None:
                 reference = current
             elif current != reference:
                 _fail(where, f"record layout {current} differs from first record {reference}")
-            group = records.setdefault(record.video_id, [])
-            if group and record.t < group[-1].t:
-                _fail(where, f"non-monotone t: {record.t} after {group[-1].t} "
-                             f"in video {record.video_id!r}")
-            group.append(record)
-    return records
+            group = streams.setdefault(video_id, [])
+            if group and t < group[-1].t:
+                _fail(where, f"non-monotone t: {t} after {group[-1].t} in video {video_id!r}")
+            group.append(det)
+    return streams
 
 
-def write_detections(records_by_video: Mapping[str, Sequence[DetectionRecord]], path: str) -> None:
-    """Write a detection stream; the roundtrip through JSON is lossless."""
+def write_detections(
+    streams: Mapping[str, Sequence[MicroTubeDetection]],
+    horizon: PredictionHorizon,
+    path: str,
+) -> None:
+    """Write detection streams; a payload's past slot falls back to the box at t.
+
+    Reading the file back with :func:`read_detections` gives the same streams
+    when payloads carry a past box exactly when ``horizon.delta_p > 0``, as
+    synth's do.
+    """
+    layout = [horizon.delta_p, horizon.delta_f, horizon.n]
     with open(path, "w", encoding="utf-8") as fh:
-        for video_id in records_by_video:
-            for r in records_by_video[video_id]:
+        for video_id, dets in streams.items():
+            for d in dets:
+                prediction = None
+                if d.predictions is not None:
+                    future = d.predictions.future_boxes
+                    if len(future) != horizon.n:
+                        raise ValueError(f"video {video_id!r} t={d.t}: payload carries "
+                                         f"{len(future)} future boxes, horizon says {horizon.n}")
+                    past = d.predictions.past_box or d.box_t
+                    prediction = [c for box in (past, *future) for c in box.as_tuple()]
                 obj = {
-                    "video": r.video_id,
-                    "t": r.t,
-                    "delta": r.delta,
-                    "horizon": list(r.horizon),
-                    "microtube": list(r.microtube),
-                    "prediction": None if r.prediction is None else list(r.prediction),
-                    "scores": list(r.scores),
+                    "video": video_id,
+                    "t": d.t,
+                    "delta": d.delta,
+                    "horizon": layout,
+                    "microtube": [*d.box_t.as_tuple(), *d.box_t_plus_delta.as_tuple()],
+                    "prediction": prediction,
+                    "scores": list(d.class_scores),
                 }
                 fh.write(json.dumps(obj) + "\n")
 
 
 def detections_to_streams(
-    records_by_video: Mapping[str, Sequence[DetectionRecord]],
-) -> dict[str, list[MicroTubeDetection]]:
-    return {
-        video_id: [r.to_detection() for r in records]
-        for video_id, records in records_by_video.items()
-    }
+    streams: Mapping[str, Sequence[MicroTubeDetection]],
+    manifest: DatasetManifest,
+    path: str,
+) -> None:
+    """Check the detection streams read from ``path`` against their manifest.
+
+    Every video must be in the manifest, and every micro-tube must end
+    within its video's frames.
+    """
+    unknown = streams.keys() - manifest.videos.keys()
+    if unknown:
+        _fail(path, f"detections for videos missing from the manifest: {sorted(unknown)}")
+    for video_id, dets in streams.items():
+        last = dets[-1]  # streams are time-ordered with one delta per file
+        num_frames = manifest.videos[video_id].num_frames
+        if last.t + last.delta > num_frames:
+            _fail(path, f"video {video_id!r} has a detection at t={last.t} "
+                        f"with delta={last.delta} past its {num_frames} frames")
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,11 @@ class LinkParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.nms_threshold <= 1.0:
             raise ValueError(f"nms threshold must lie in [0, 1], got {self.nms_threshold}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.patience not in (1, 2):
+            # A tube that missed m steps links at last.t + (m + 1) * delta,
+            # and its detected segment is contiguous only for m <= 1.
+            raise ValueError(f"patience must be 1 or 2, got {self.patience}: bridging two or "
+                             f"more missed steps would leave a gap in the detected segment")
 
 
 @dataclass

@@ -261,7 +261,9 @@ def evaluate_sweep(
     mAP (against ground truth truncated to the observed prefix), p-mAP
     (future segments only) and c-mAP (full tubes) are then aggregated per
     class and averaged. Detection mAP rows are emitted when 100 percent
-    observation is requested. The "avg" threshold rows appear whenever the
+    observation is requested; there they equal the online and c-mAP rows,
+    whose APs are computed once. Every ground-truth tube must span frames
+    1..T of its video. The "avg" threshold rows appear whenever the
     0.5:0.05:0.95 grid is fully contained in ``deltas``. p-mAP cells are
     absent when no video has unobserved frames left (notably at q = 100).
     """
@@ -281,6 +283,10 @@ def evaluate_sweep(
     for g in gt_tubes:
         if g.video_id not in video_meta:
             raise ValueError(f"ground-truth tube references unknown video {g.video_id!r}")
+        num_frames = video_meta[g.video_id][0]
+        if min(g.boxes) != 1 or max(g.boxes) != num_frames:
+            raise ValueError(f"ground-truth tube of video {g.video_id!r} spans frames "
+                             f"{min(g.boxes)}..{max(g.boxes)}, not 1..{num_frames}")
         gt_by_class[g.class_id].setdefault(g.video_id, []).append(g.boxes)
         gt_classes_by_video[g.video_id].add(g.class_id)
     without_gt = [v for v, classes in gt_classes_by_video.items() if not classes]
@@ -289,16 +295,17 @@ def evaluate_sweep(
 
     report = EvalReport(class_ids=class_ids)
 
-    def add_map_cells(metric: str, q: int, pools: Mapping[int, tuple[list[TubeEntry], dict]]) -> None:
+    def class_aps(pools: Mapping[int, tuple[list[TubeEntry], dict]]) -> dict[float, dict]:
+        """Per-threshold, per-class APs of one pool kind (None: no ground truth)."""
         aps_by_delta: dict[float, dict[int, float | None]] = {d: {} for d in deltas}
-        any_gt = False
         for c in class_ids:
             dets, gts = pools[c]
-            class_aps = _class_ap(dets, gts, deltas)
-            for d in deltas:
-                aps_by_delta[d][c] = class_aps[d]
-            any_gt = any_gt or any(v is not None for v in class_aps.values())
-        if not any_gt:
+            for d, ap in _class_ap(dets, gts, deltas).items():
+                aps_by_delta[d][c] = ap
+        return aps_by_delta
+
+    def add_map_cells(metric: str, q: int, aps_by_delta: Mapping[float, dict]) -> None:
+        if all(ap is None for aps in aps_by_delta.values() for ap in aps.values()):
             return
         for d in deltas:
             mean = map_at(aps_by_delta[d])
@@ -368,14 +375,17 @@ def evaluate_sweep(
                     pools["p_map"][c][1][video_id] = future
                 pools["c_map"][c][1][video_id] = [dict(g) for g in tubes]
 
-        add_map_cells("online_map", q, pools["online_map"])
-        add_map_cells("p_map", q, pools["p_map"])
-        add_map_cells("c_map", q, pools["c_map"])
-
+        online_aps = class_aps(pools["online_map"])
+        add_map_cells("online_map", q, online_aps)
+        add_map_cells("p_map", q, class_aps(pools["p_map"]))
         if q == 100:
-            # Fully observed, the online pools hold the detected segments
-            # against whole ground-truth tubes, which is detection mAP.
-            add_map_cells("detection_map", 100, pools["online_map"])
+            # Fully observed, tubes have no predicted frames and ground truth
+            # spans 1..T, so the online and c-mAP pools both hold the detected
+            # segments against whole ground-truth tubes: detection mAP.
+            add_map_cells("c_map", q, online_aps)
+            add_map_cells("detection_map", q, online_aps)
+        else:
+            add_map_cells("c_map", q, class_aps(pools["c_map"]))
 
     report.cells.sort(
         key=lambda c: (METRIC_ORDER.index(c.metric), EvalReport._delta_key(c.delta), c.observed_pct)

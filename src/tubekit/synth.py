@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DatasetManifest, DetectionRecord, VideoEntry
+from .dataio import DatasetManifest, VideoEntry
 from .geometry import BoundingBox, FrameSize, clip_box
 from .linking import MicroTubeDetection, PredictionPayload
 from .metrics import GroundTruthTube
@@ -245,17 +245,6 @@ def generate_dataset(
     return DatasetManifest(class_names=class_names, videos=videos), streams
 
 
-def detection_records(
-    streams: dict[str, list[MicroTubeDetection]],
-    horizon: PredictionHorizon,
-) -> dict[str, list[DetectionRecord]]:
-    """Flatten generated detections into serializable records."""
-    return {
-        video_id: [DetectionRecord.from_detection(video_id, d, horizon) for d in dets]
-        for video_id, dets in streams.items()
-    }
-
-
 def lane_scenario(
     seed: int,
     num_actors: int = 3,
@@ -268,10 +257,15 @@ def lane_scenario(
 ) -> ScenarioSpec:
     """A scenario with spatially separated actors on constant velocities.
 
-    Actors occupy disjoint vertical lanes and never leave them, so their
-    boxes never overlap and every linking decision is unambiguous. Motion
-    keeps each box fully inside the frame for the whole video, which makes
-    the zero-noise pipeline exact end to end.
+    Actors start in disjoint vertical lanes. The velocity caps bound the
+    drift over the video but do not keep a box inside its lane or the
+    frame: a box may end up to 0.7 of its lane margin past the lane's
+    left edge (the first lane's is the frame's edge) and up to 0.4 of the
+    free height above the frame. Ground truth and zero-noise detections
+    are clipped at the frame edges, so the zero-noise linker is exact, but
+    constant-velocity extrapolation of a clipped track is not. About a
+    quarter of the actors are clipped (80-85 of 300 on 100 videos of 3
+    actors and 40 frames, seeds 1-3).
     """
     if num_actors < 1:
         raise ValueError("need at least one actor")
@@ -285,7 +279,9 @@ def lane_scenario(
         x0 = k * lane_w + margin_x * rng.uniform(0.2, 0.8)
         y_margin = frame.height - h
         y0 = y_margin * rng.uniform(0.1, 0.4)
-        # Bound velocities so the box stays inside its lane and the frame.
+        # Cap the drift over the video at 0.9 of the lane margin in x and half
+        # the free height in y, never past the bottom edge. The left and top
+        # edges can still be crossed; see the docstring.
         vx_cap = (margin_x * 0.9) / num_frames
         vy_cap = (y_margin * 0.5) / num_frames
         vx = rng.uniform(-vx_cap, vx_cap)

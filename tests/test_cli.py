@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +149,12 @@ class TestErrors:
             assert f"{path}: video {record['video']!r} has a detection at t=30" in err
             assert "delta=1 past its 30 frames" in err
 
+    def test_patience_above_two_rejected(self, dataset, tmp_path, capsys):
+        assert run(["link", "--detections", dataset["detections"],
+                    "--manifest", dataset["manifest"], "--out", str(tmp_path / "t.json"),
+                    "--patience", "3"]) == 2
+        assert "patience must be 1 or 2, got 3" in capsys.readouterr().err
+
     def test_detections_for_unknown_video(self, dataset, tmp_path, capsys):
         other = tmp_path / "other"
         assert run(["synth", "--out-dir", str(other), "--videos", "6",
@@ -154,3 +163,22 @@ class TestErrors:
                     "--manifest", dataset["manifest"],
                     "--out", str(tmp_path / "r.csv")]) == 2
         assert "missing from the manifest" in capsys.readouterr().err
+
+
+def test_traced_link_counts_match_outputs(tmp_path):
+    """The benchmark's tracer still finds the functions it wraps, and its
+    counts agree with the files; a subprocess, because it rebinds globals."""
+    data = tmp_path / "data"
+    assert run(["synth", "--out-dir", str(data), "--videos", "3", "--frames", "20",
+                "--seed", "2"]) == 0
+    detections, out, trace = data / "detections.jsonl", tmp_path / "t.json", tmp_path / "trace"
+    traced_cli = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
+    done = subprocess.run(
+        [sys.executable, str(traced_cli), str(trace), "--", "link", "--detections",
+         str(detections), "--manifest", str(data / "manifest.json"), "--out", str(out)],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(trace.read_text())["counts"]
+    assert counts["dataio.records_read"] == len(detections.read_text().splitlines())
+    tubes = json.loads(out.read_text())["videos"]
+    assert counts["linking.tubes_built"] == sum(len(v["tubes"]) for v in tubes)

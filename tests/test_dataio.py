@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from tubekit.dataio import (
+    CONFIG_KEYS,
     DataFormatError,
     DatasetManifest,
-    DetectionRecord,
     VideoEntry,
-    detections_to_streams,
     read_config,
     read_detections,
     read_manifest,
@@ -21,10 +20,10 @@ from tubekit.dataio import (
     write_tubes,
 )
 from tubekit.geometry import BoundingBox, FrameSize
-from tubekit.linking import ActionTube
+from tubekit.linking import ActionTube, MicroTubeDetection, PredictionPayload
 from tubekit.metrics import GroundTruthTube
 from tubekit.prediction import PredictionHorizon
-from tubekit.synth import detection_records, lane_dataset
+from tubekit.synth import NoiseModel, lane_dataset
 
 
 def random_box_coords(rng):
@@ -33,30 +32,55 @@ def random_box_coords(rng):
     return (float(x), float(y), float(x + w), float(y + h))
 
 
-def sample_record(video="v0", t=1, n=2):
+def sample_detection(t=1, n=2):
     rng = np.random.default_rng(t)
     scores = rng.uniform(0.1, 1.0, 4)
     scores /= scores.sum()
-    return DetectionRecord(
-        video_id=video,
+    box_t, box_next, *future = (BoundingBox(*random_box_coords(rng)) for _ in range(2 + n))
+    return MicroTubeDetection(
         t=t,
         delta=1,
-        horizon=(0, 5, n),
-        microtube=random_box_coords(rng) + random_box_coords(rng),
-        prediction=sum((random_box_coords(rng) for _ in range(1 + n)), ()),
-        scores=tuple(float(s) for s in scores),
+        box_t=box_t,
+        box_t_plus_delta=box_next,
+        class_scores=tuple(float(s) for s in scores),
+        predictions=PredictionPayload(future_boxes=tuple(future)),
     )
+
+
+def sample_line(tmp_path, n=2):
+    """The JSON object that write_detections makes of one sample detection."""
+    path = tmp_path / "one.jsonl"
+    write_detections({"v0": [sample_detection(n=n)]}, PredictionHorizon(0, 5, n), str(path))
+    return json.loads(path.read_text())
 
 
 class TestDetectionRecords:
     def test_roundtrip_is_identity(self, tmp_path):
         path = str(tmp_path / "d.jsonl")
-        records = {
-            "v0": [sample_record("v0", t) for t in (1, 2, 3)],
-            "v1": [sample_record("v1", t) for t in (1, 2)],
+        streams = {
+            "v0": [sample_detection(t) for t in (1, 2, 3)],
+            "v1": [sample_detection(t) for t in (1, 2)],
         }
-        write_detections(records, path)
-        assert read_detections(path) == records
+        write_detections(streams, PredictionHorizon(0, 5, 2), path)
+        assert read_detections(path) == streams
+
+    @pytest.mark.parametrize("horizon", [(0, 5, 3), (2, 5, 3)], ids=["0,5,3", "2,5,3"])
+    def test_synth_stream_roundtrips_through_file(self, tmp_path, horizon):
+        horizon = PredictionHorizon(*horizon)
+        _, streams = lane_dataset(seed=5, num_videos=2, num_classes=2, horizon=horizon,
+                                  noise=NoiseModel(center_sigma=1.5, false_positive_rate=0.5))
+        path = str(tmp_path / "d.jsonl")
+        write_detections(streams, horizon, path)
+        back = read_detections(path)
+        assert back == streams
+        payloads = [d.predictions for dets in back.values() for d in dets]
+        assert all(len(p.future_boxes) == 3 for p in payloads)
+        assert all((p.past_box is not None) == (horizon.delta_p > 0) for p in payloads)
+
+    def test_writer_rejects_payload_of_wrong_length(self, tmp_path):
+        with pytest.raises(ValueError, match="2 future boxes, horizon says 3"):
+            write_detections({"v0": [sample_detection(n=2)]}, PredictionHorizon(0, 5, 3),
+                             str(tmp_path / "d.jsonl"))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -65,41 +89,38 @@ class TestDetectionRecords:
 
     def test_bad_coordinate_count_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        good = sample_record()
-        microtube, prediction = list(good.microtube), list(good.prediction)
+        good = sample_line(tmp_path)
+        microtube, prediction = good["microtube"], good["prediction"]
         x_min, y_min, x_max, y_max = microtube[4:8]
-        # json.loads accepts NaN and Infinity, so the record itself must reject them.
+        fx_min, fy_min, fx_max, fy_max = prediction[4:8]
+        # json.loads accepts NaN and Infinity, so the reader must reject them.
         cases = [
             ({"microtube": microtube[:7]}, "8 coordinates"),
+            ({"microtube": [False] + microtube[1:]}, "microtube must be a list of numbers"),
             ({"microtube": microtube[:2] + [float("nan")] + microtube[3:]}, "non-finite micro-tube"),
             ({"microtube": microtube[:4] + [x_max, y_min, x_min, y_max]}, "inverted micro-tube"),
             ({"prediction": prediction[:-1] + [float("inf")]}, "non-finite prediction"),
+            ({"prediction": [float("nan")] + prediction[1:]}, "non-finite prediction"),
+            ({"prediction": prediction[:4] + [fx_max, fy_min, fx_min, fy_max] + prediction[8:]},
+             "inverted box"),
+            ({"scores": [1.2, -0.2, 0.0, 0.0]}, "negative class score"),
         ]
         for change, message in cases:
-            obj = {
-                "video": good.video_id, "t": 1, "delta": 1, "horizon": [0, 5, 2],
-                "microtube": microtube, "prediction": prediction, "scores": list(good.scores),
-                **change,
-            }
-            path.write_text(json.dumps(obj) + "\n")
-            with pytest.raises(DataFormatError, match=rf"bad\.jsonl:1.*{message}"):
+            path.write_text(json.dumps({**good, **change}) + "\n")
+            with pytest.raises(DataFormatError, match=rf"bad\.jsonl:1: .*{message}"):
                 read_detections(str(path))
 
     def test_score_sum_violation(self, tmp_path):
         path = tmp_path / "scores.jsonl"
-        good = sample_record()
-        obj = {
-            "video": "v", "t": 1, "delta": 1, "horizon": [0, 5, 2],
-            "microtube": list(good.microtube), "prediction": list(good.prediction),
-            "scores": [0.5, 0.1, 0.1, 0.1],
-        }
+        obj = {**sample_line(tmp_path), "scores": [0.5, 0.1, 0.1, 0.1]}
         path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(DataFormatError, match="sum to 1"):
             read_detections(str(path))
 
     def test_non_monotone_t(self, tmp_path):
         path = str(tmp_path / "order.jsonl")
-        write_detections({"v0": [sample_record("v0", 5), sample_record("v0", 2)]}, path)
+        write_detections({"v0": [sample_detection(5), sample_detection(2)]},
+                         PredictionHorizon(0, 5, 2), path)
         with pytest.raises(DataFormatError, match="non-monotone"):
             read_detections(path)
 
@@ -110,27 +131,12 @@ class TestDetectionRecords:
             read_detections(str(path))
 
     def test_layout_consistency_enforced(self, tmp_path):
-        path = str(tmp_path / "mixed.jsonl")
-        write_detections({"v0": [sample_record("v0", 1, n=2)],
-                          "v1": [sample_record("v1", 1, n=3)]}, path)
+        path = tmp_path / "mixed.jsonl"
+        lines = [{**sample_line(tmp_path, n=2), "video": "v0"},
+                 {**sample_line(tmp_path, n=3), "video": "v1"}]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
         with pytest.raises(DataFormatError, match="layout"):
-            read_detections(path)
-
-    def test_to_detection_parses_payload(self):
-        record = sample_record(n=2)
-        det = record.to_detection()
-        assert det.t == record.t
-        assert det.predictions is not None
-        assert len(det.predictions.future_boxes) == 2
-        assert det.predictions.past_box is None  # delta_p = 0
-
-    def test_from_detection_roundtrip_through_stream(self):
-        _, streams = lane_dataset(seed=5, num_videos=1, num_classes=2,
-                                  horizon=PredictionHorizon(0, 5, 3))
-        horizon = PredictionHorizon(0, 5, 3)
-        records = detection_records(streams, horizon)
-        back = detections_to_streams(records)
-        assert back == streams
+            read_detections(str(path))
 
 
 def sample_manifest(num_frames=4):
@@ -299,6 +305,13 @@ class TestConfig:
             path.write_text(json.dumps(doc))
             with pytest.raises(DataFormatError, match="unknown config key"):
                 read_config(str(path))
+
+    def test_keys_match_run_config(self):
+        from dataclasses import fields
+
+        from tubekit.cli import RunConfig
+
+        assert set(CONFIG_KEYS) == {f.name for f in fields(RunConfig)}
 
     def test_wrong_type_rejected(self, tmp_path):
         path = tmp_path / "c.json"

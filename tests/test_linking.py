@@ -253,6 +253,15 @@ class TestBuildTubes:
         assert len(tubes) == 1
         assert sorted(tubes[0].detected) == [1, 2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"nms_threshold": 1.5}, "nms threshold must lie in"),
+        ({"patience": 0}, "patience must be 1 or 2, got 0"),
+        ({"patience": 3}, "patience must be 1 or 2, got 3: bridging two or more missed steps"),
+    ], ids=["nms1.5", "patience0", "patience3"])
+    def test_link_params_validated(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            LinkParams(**kwargs)
+
     def test_deterministic(self):
         rng = np.random.default_rng(31)
         stream = []

@@ -302,6 +302,38 @@ class TestEvaluateSweep:
         )
         assert sorted(map(id, pushed)) == sorted(id(d) for s in streams.values() for d in s)
 
+    def test_aps_at_full_observation_computed_once(self, monkeypatch):
+        import tubekit.metrics as metrics
+
+        calls = []
+        class_ap = metrics._class_ap
+
+        def counting_class_ap(dets, gts, deltas):
+            calls.append(len(dets))
+            return class_ap(dets, gts, deltas)
+
+        monkeypatch.setattr(metrics, "_class_ap", counting_class_ap)
+        report = clean_sweep(percentages=(50, 100))
+        # 3 classes: online, p and c pools at 50 %; at 100 % one pool shared by
+        # online, c and detection mAP, plus the p pool, which has no ground truth.
+        assert len(calls) == 3 * 3 + 2 * 3
+        for d in (0.5, 0.75):
+            assert (report.value("online_map", d, 100) == report.value("c_map", d, 100)
+                    == report.value("detection_map", d, 100))
+
+    def test_ground_truth_must_span_video(self):
+        gt = GroundTruthTube("v", 0, const_tube(range(2, 5)))
+        with pytest.raises(ValueError, match=r"video 'v' spans frames 2\.\.4, not 1\.\.5"):
+            evaluate_sweep(
+                detections_by_video={},
+                video_meta={"v": (5, FrameSize(100, 100))},
+                gt_tubes=[gt],
+                num_classes=1,
+                horizon=PredictionHorizon(0, 1, 1),
+                deltas=(0.5,),
+                percentages=(100,),
+            )
+
     def test_percentage_zero_rejected(self):
         manifest, streams = lane_dataset(seed=3, num_videos=1, num_classes=1)
         with pytest.raises(ValueError):

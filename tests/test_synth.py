@@ -9,7 +9,6 @@ from tubekit.synth import (
     ActorSpec,
     NoiseModel,
     ScenarioSpec,
-    detection_records,
     generate,
     lane_dataset,
 )
@@ -114,7 +113,7 @@ class TestDetections:
                                 actors=(walking_actor(),), noise=noise, horizon=horizon)
             _, dets = generate(spec, num_classes=2)
             path = tmp_path / f"run{run}.jsonl"
-            write_detections(detection_records({"v": dets}, horizon), str(path))
+            write_detections({"v": dets}, horizon, str(path))
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
