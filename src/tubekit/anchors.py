@@ -11,10 +11,12 @@ overlap reaches the match threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .geometry import DEFAULT_VARIANCES, BoundingBox, FrameSize, mean_iou_microtube
+import numpy as np
+
+from .geometry import DEFAULT_VARIANCES, BoundingBox, FrameSize, pairwise_iou
 
 DEFAULT_MATCH_THRESHOLD = 0.5
 
@@ -48,16 +50,24 @@ class PriorBoxSpec:
 
 @dataclass(frozen=True)
 class PriorBoxSet:
-    """The generated prior boxes plus the offset-encoding variances."""
+    """The generated prior boxes plus the offset-encoding variances.
+
+    ``array`` holds the same boxes as a read-only (P, 4) corner array,
+    built once so that matching does not rebuild it per sample.
+    """
 
     boxes: tuple[BoundingBox, ...]
     variances: tuple[float, float] = DEFAULT_VARIANCES
+    array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.boxes:
             raise ValueError("empty prior set")
-        if any(b.area <= 0.0 for b in self.boxes):
+        array = np.array([b.as_tuple() for b in self.boxes], dtype=float)
+        array.flags.writeable = False
+        if np.any((array[:, 2] - array[:, 0]) * (array[:, 3] - array[:, 1]) <= 0.0):
             raise ValueError("priors must have positive area")
+        object.__setattr__(self, "array", array)
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -142,10 +152,13 @@ def match_priors(
 ) -> MatchAssignment:
     """Match ground-truth micro-tubes to prior boxes.
 
-    Pass 1 (forced bipartite): walking all (prior, gt) pairs in descending
-    mean-IoU order, each ground truth claims its best still-free prior, so
-    every ground truth ends up matched even when all overlaps are below
-    the threshold. Pass 2: every remaining prior whose best ground truth
+    The overlap of a prior and a ground truth is their mean IoU
+    (:func:`~tubekit.geometry.mean_iou_microtube`), computed for all pairs
+    at once with :func:`~tubekit.geometry.pairwise_iou`. Pass 1 (forced
+    bipartite): one round per ground truth takes the highest-overlap pair
+    among still-free priors and still-unmatched ground truths, so every
+    ground truth ends up matched even when all overlaps are below the
+    threshold. Pass 2: every remaining prior whose best ground truth
     reaches ``threshold`` is matched to that ground truth. Ties break on
     lowest prior index, then lowest ground-truth index.
     """
@@ -156,38 +169,45 @@ def match_priors(
     if n_gts > n_priors:
         raise ValueError(f"insufficient priors: {n_priors} priors for {n_gts} ground truths")
 
-    gt_index = [-1] * n_priors
-    gt_class = [-1] * n_priors
-    match_iou = [0.0] * n_priors
-    forced_prior = [-1] * n_gts
     if n_gts == 0:
-        return MatchAssignment(tuple(gt_index), tuple(gt_class), tuple(match_iou), ())
+        empty = (-1,) * n_priors
+        return MatchAssignment(empty, empty, (0.0,) * n_priors, ())
 
-    overlap = [
-        [mean_iou_microtube(p, gt.boxes) for gt in gts]
-        for p in priors.boxes
-    ]
+    # overlap[i, j] == mean_iou_microtube(priors.boxes[i], gts[j].boxes): the
+    # box columns are summed in order, then divided by the box count.
+    overlap = np.empty((n_priors, n_gts))
+    for j, gt in enumerate(gts):
+        ious = pairwise_iou(priors.array, np.array([b.as_tuple() for b in gt.boxes]))
+        total = ious[:, 0].copy()
+        for k in range(1, ious.shape[1]):
+            total += ious[:, k]
+        overlap[:, j] = total / ious.shape[1]
 
-    pairs = sorted(
-        ((overlap[i][j], i, j) for i in range(n_priors) for j in range(n_gts)),
-        key=lambda p: (-p[0], p[1], p[2]),
+    gt_index = np.full(n_priors, -1)
+    match_iou = np.zeros(n_priors)
+    forced_prior = [-1] * n_gts
+    # Each round takes the best pair among free priors and unmatched ground
+    # truths; argmax returns the row-major first maximum, so ties go to the
+    # lowest prior, then the lowest ground truth. Overlaps are >= 0, so -1
+    # marks taken rows and columns.
+    free = overlap.copy()
+    for _ in range(n_gts):
+        i, j = divmod(int(np.argmax(free)), n_gts)
+        forced_prior[j] = i
+        gt_index[i] = j
+        match_iou[i] = overlap[i, j]
+        free[i, :] = -1.0
+        free[:, j] = -1.0
+
+    best = np.argmax(overlap, axis=1)
+    best_iou = overlap[np.arange(n_priors), best]
+    extra = (gt_index < 0) & (best_iou >= threshold)
+    gt_index[extra] = best[extra]
+    match_iou[extra] = best_iou[extra]
+    classes = np.array([gt.class_id for gt in gts])
+    gt_class = np.where(gt_index >= 0, classes[gt_index], -1)
+
+    return MatchAssignment(
+        tuple(gt_index.tolist()), tuple(gt_class.tolist()), tuple(match_iou.tolist()),
+        tuple(forced_prior),
     )
-    for ov, i, j in pairs:
-        if forced_prior[j] == -1 and gt_index[i] == -1:
-            forced_prior[j] = i
-            gt_index[i] = j
-            gt_class[i] = gts[j].class_id
-            match_iou[i] = ov
-            if all(f >= 0 for f in forced_prior):
-                break
-
-    for i in range(n_priors):
-        if gt_index[i] >= 0:
-            continue
-        best_j = max(range(n_gts), key=lambda j: (overlap[i][j], -j))
-        if overlap[i][best_j] >= threshold:
-            gt_index[i] = best_j
-            gt_class[i] = gts[best_j].class_id
-            match_iou[i] = overlap[i][best_j]
-
-    return MatchAssignment(tuple(gt_index), tuple(gt_class), tuple(match_iou), tuple(forced_prior))

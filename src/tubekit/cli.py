@@ -217,9 +217,9 @@ def _require(cfg: RunConfig, *names: str) -> None:
         raise ValueError(f"missing required settings: {', '.join(missing)}")
 
 
-def _load_inputs(cfg: RunConfig):
+def _load_inputs(cfg: RunConfig, horizon: PredictionHorizon | None = None):
     manifest = dataio.read_manifest(cfg.manifest)
-    streams = dataio.read_detections(cfg.detections)
+    streams = dataio.read_detections(cfg.detections, horizon)
     dataio.detections_to_streams(streams, manifest, cfg.detections)
     return manifest, streams
 
@@ -281,9 +281,9 @@ def cmd_link(cfg: RunConfig) -> int:
 
 def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, "detections", "manifest", "out")
-    manifest, streams = _load_inputs(cfg)
-    linked = _linked_tubes(cfg, manifest, streams, cfg.observed_pct)
     horizon = cfg.prediction_horizon()
+    manifest, streams = _load_inputs(cfg, horizon)
+    linked = _linked_tubes(cfg, manifest, streams, cfg.observed_pct)
     tubes_by_video = {}
     for video_id, (f_obs, tubes) in linked.items():
         entry = manifest.videos[video_id]
@@ -298,13 +298,14 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def _run_eval(cfg: RunConfig, deltas, percentages):
-    manifest, streams = _load_inputs(cfg)
+    horizon = cfg.prediction_horizon()
+    manifest, streams = _load_inputs(cfg, horizon)
     return evaluate_sweep(
         detections_by_video=streams,
         video_meta=manifest.video_meta(),
         gt_tubes=manifest.all_tubes(),
         num_classes=manifest.num_classes,
-        horizon=cfg.prediction_horizon(),
+        horizon=horizon,
         deltas=deltas,
         percentages=percentages,
         link_params=cfg.link_params(),

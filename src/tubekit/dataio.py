@@ -77,8 +77,17 @@ def _as_int(value: object, where: str, what: str) -> int:
 _DETECTION_KEYS = {"video", "t", "delta", "horizon", "microtube", "prediction", "scores"}
 
 
-def read_detections(path: str) -> dict[str, list[MicroTubeDetection]]:
-    """Read a detection stream grouped by video, validated and time-ordered."""
+def read_detections(
+    path: str, expected_horizon: PredictionHorizon | None = None
+) -> dict[str, list[MicroTubeDetection]]:
+    """Read a detection stream grouped by video, validated and time-ordered.
+
+    With ``expected_horizon`` given, the first record whose horizon differs
+    from it fails: its payload boxes would be placed on the wrong frames.
+    """
+    expected = None
+    if expected_horizon is not None:
+        expected = (expected_horizon.delta_p, expected_horizon.delta_f, expected_horizon.n)
     streams: dict[str, list[MicroTubeDetection]] = {}
     reference: tuple[int, tuple[int, ...], int] | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -106,6 +115,8 @@ def read_detections(path: str) -> dict[str, list[MicroTubeDetection]]:
             if not (isinstance(horizon_raw, list) and len(horizon_raw) == 3):
                 _fail(where, f"horizon must be [delta_p, delta_f, n], got {horizon_raw!r}")
             horizon = tuple(_as_int(v, where, "horizon entry") for v in horizon_raw)
+            if expected is not None and horizon != expected:
+                _fail(where, f"record horizon {horizon} differs from the requested horizon {expected}")
             t = _as_int(obj["t"], where, "t")
             delta = _as_int(obj["delta"], where, "delta")
             microtube = _as_number_list(obj["microtube"], where, "microtube")

@@ -3,6 +3,8 @@
 Boxes are half-open pixel extents with real-valued corners; the area of a
 box is ``(x_max - x_min) * (y_max - y_min)``. Everything in this module is
 a pure function over immutable values and is safe to call concurrently.
+:func:`pairwise_iou` is the broadcast form of :func:`iou` over ``(N, 4)``
+corner arrays.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 DEFAULT_VARIANCES = (0.1, 0.2)
 
@@ -116,6 +120,27 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     inter = ix * iy
     union = a.area + b.area - inter
     return inter / union
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every row of ``a`` (N, 4) with every row of ``b`` (M, 4).
+
+    Rows are ``x_min, y_min, x_max, y_max``. Entry (i, j) equals
+    ``iou(a[i], b[j])`` bit for bit: the arithmetic runs in the same order,
+    and pairs where either area is 0 or the boxes do not overlap are 0.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 4 or b.ndim != 2 or b.shape[1] != 4:
+        raise ValueError(f"box arrays must be (N, 4) and (M, 4), got {a.shape} and {b.shape}")
+    area_a = ((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]))[:, None]
+    area_b = ((b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]))[None, :]
+    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = ix * iy
+    union = area_a + area_b - inter
+    overlapping = (area_a > 0.0) & (area_b > 0.0) & (ix > 0.0) & (iy > 0.0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=overlapping)
 
 
 def mean_iou_microtube(prior: BoundingBox, gt_boxes: Sequence[BoundingBox]) -> float:

@@ -31,7 +31,9 @@ DEFAULT_NEG_POS_RATIO = 3.0
 
 
 def smooth_l1(pred: Sequence[float], target: Sequence[float]) -> float:
-    """Smooth L1 (Huber at delta=1) summed over coordinates.
+    """Smooth L1 (Huber at delta=1) summed over all coordinates.
+
+    ``pred`` and ``target`` may have any shape, as long as it is the same.
 
     Per coordinate with d = pred - target:
         0.5 * d^2        if |d| < 1
@@ -59,14 +61,24 @@ def smooth_l1_grad(pred: Sequence[float], target: Sequence[float]) -> np.ndarray
     return np.clip(p - t, -1.0, 1.0)
 
 
-def softmax_cross_entropy(logits: Sequence[float], label: int) -> float:
-    """-log softmax(logits)[label], computed with max-subtraction."""
+def softmax_cross_entropy(
+    logits: Sequence[float] | np.ndarray, label: int | np.ndarray
+) -> float | np.ndarray:
+    """-log softmax(logits)[label] over the last axis, with max-subtraction.
+
+    One row of logits gives a float. A batch (N, C) gives an array of N
+    losses, each equal to the call on its row; ``label`` is then one class
+    for every row or one per row.
+    """
     z = np.asarray(logits, dtype=float)
-    if not 0 <= label < z.shape[-1]:
+    labels = np.asarray(label)
+    if np.any((labels < 0) | (labels >= z.shape[-1])):
         raise ValueError(f"label {label} out of range for {z.shape[-1]} classes")
-    shifted = z - np.max(z)
-    log_norm = np.log(np.sum(np.exp(shifted)))
-    return float(log_norm - shifted[label])
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    log_norm = np.log(np.sum(np.exp(shifted), axis=-1))
+    rows = np.broadcast_to(labels, z.shape[:-1])[..., None]
+    loss = log_norm - np.take_along_axis(shifted, rows, axis=-1)[..., 0]
+    return float(loss) if z.ndim == 1 else loss
 
 
 def softmax_cross_entropy_grad(logits: Sequence[float], label: int) -> np.ndarray:
@@ -170,30 +182,24 @@ def total_loss(inputs: LossInputs) -> LossBreakdown:
         raise ValueError(f"alpha and beta must be >= 0, got ({inputs.alpha}, {inputs.beta})")
 
     background = logits.shape[1] - 1
-    matched = inputs.assignment.matched_priors()
+    gt_index = np.asarray(inputs.assignment.gt_index, dtype=int)
+    matched = np.flatnonzero(gt_index >= 0)
     n_matched = len(matched)
+    labels = np.asarray(inputs.assignment.gt_class, dtype=int)[matched]
+    bad = np.flatnonzero((labels < 0) | (labels >= background))
+    if bad.size:
+        i, label = matched[bad[0]], labels[bad[0]]
+        raise ValueError(f"matched prior {i} has class {label} outside 0..{background - 1}")
 
-    l_cls = 0.0
-    for i in matched:
-        label = inputs.assignment.gt_class[i]
-        if not 0 <= label < background:
-            raise ValueError(f"matched prior {i} has class {label} outside 0..{background - 1}")
-        l_cls += softmax_cross_entropy(logits[i], label)
-    negatives = [i for i in range(n_priors) if inputs.assignment.gt_index[i] < 0]
-    neg_losses = np.array(
-        [softmax_cross_entropy(logits[i], background) for i in negatives], dtype=float
-    )
-    for k in hard_negative_mining(neg_losses, n_matched, inputs.neg_pos_ratio):
-        l_cls += float(neg_losses[k])
+    l_cls = float(np.sum(softmax_cross_entropy(logits[matched], labels)))
+    neg_losses = softmax_cross_entropy(logits[gt_index < 0], background)
+    hard = hard_negative_mining(neg_losses, n_matched, inputs.neg_pos_ratio)
+    l_cls += float(np.sum(neg_losses[hard]))
 
-    l_reg = 0.0
-    l_pred = 0.0
-    for i in matched:
-        l_reg += smooth_l1(mt_out[i], mt_tgt[i])
-        for slot in range(n_slots):
-            if mask[i, slot]:
-                sl = slice(4 * slot, 4 * slot + 4)
-                l_pred += smooth_l1(pred_out[i, sl], pred_tgt[i, sl])
+    l_reg = smooth_l1(mt_out[matched], mt_tgt[matched])
+    slots = mask[matched]
+    l_pred = smooth_l1(pred_out[matched].reshape(n_matched, n_slots, 4)[slots],
+                       pred_tgt[matched].reshape(n_matched, n_slots, 4)[slots])
 
     total = (l_cls + inputs.alpha * l_reg + inputs.beta * l_pred) / max(n_matched, 1)
     return LossBreakdown(total=total, l_cls=l_cls, l_reg=l_reg, l_pred=l_pred, n_matched=n_matched)

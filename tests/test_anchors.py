@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tubekit.anchors import (
+    MatchAssignment,
     MicroTubeTarget,
     PriorBoxSet,
     PriorBoxSpec,
@@ -18,6 +19,53 @@ def random_box(rng, extent=100.0, min_side=8.0, max_side=50.0):
     x = rng.uniform(0.0, extent - w)
     y = rng.uniform(0.0, extent - h)
     return BoundingBox(x, y, x + w, y + h)
+
+
+def grid_box(rng, extent=8, max_side=4):
+    """A box with integer corners: many pairs share exactly the same IoU."""
+    w, h = (int(v) for v in rng.integers(1, max_side + 1, size=2))
+    x = int(rng.integers(0, extent - w + 1))
+    y = int(rng.integers(0, extent - h + 1))
+    return BoundingBox(x, y, x + w, y + h)
+
+
+def reference_match_priors(priors, gts, threshold=0.5):
+    """The scalar matcher: a P x G table of ``mean_iou_microtube`` calls, a
+    walk over all pairs sorted by descending overlap for the forced pass,
+    then a per-prior best ground truth for the threshold pass."""
+    n_priors = len(priors.boxes)
+    n_gts = len(gts)
+    gt_index = [-1] * n_priors
+    gt_class = [-1] * n_priors
+    match_iou = [0.0] * n_priors
+    forced_prior = [-1] * n_gts
+    if n_gts == 0:
+        return MatchAssignment(tuple(gt_index), tuple(gt_class), tuple(match_iou), ())
+
+    overlap = overlap_matrix(priors, gts)
+    pairs = sorted(
+        ((overlap[i][j], i, j) for i in range(n_priors) for j in range(n_gts)),
+        key=lambda p: (-p[0], p[1], p[2]),
+    )
+    for ov, i, j in pairs:
+        if forced_prior[j] == -1 and gt_index[i] == -1:
+            forced_prior[j] = i
+            gt_index[i] = j
+            gt_class[i] = gts[j].class_id
+            match_iou[i] = ov
+            if all(f >= 0 for f in forced_prior):
+                break
+
+    for i in range(n_priors):
+        if gt_index[i] >= 0:
+            continue
+        best_j = max(range(n_gts), key=lambda j: (overlap[i][j], -j))
+        if overlap[i][best_j] >= threshold:
+            gt_index[i] = best_j
+            gt_class[i] = gts[best_j].class_id
+            match_iou[i] = overlap[i][best_j]
+
+    return MatchAssignment(tuple(gt_index), tuple(gt_class), tuple(match_iou), tuple(forced_prior))
 
 
 def overlap_matrix(priors, gts):
@@ -173,19 +221,10 @@ class TestMatchPriors:
                 assert base.gt_class[i] == shuffled.gt_class[i]
 
     def test_random_instances_against_oracle(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            n_priors = int(rng.integers(3, 31))
-            n_gts = int(rng.integers(1, 4))
-            priors = make_priors([random_box(rng) for _ in range(n_priors)])
-            gts = [
-                MicroTubeTarget(
-                    boxes=(random_box(rng), random_box(rng)),
-                    class_id=int(rng.integers(0, 5)),
-                )
-                for _ in range(n_gts)
-            ]
+        for priors, gts in random_instances(np.random.default_rng(42)):
+            n_gts = len(gts)
             result = match_priors(priors, gts, threshold=0.5)
+            assert result == reference_match_priors(priors, gts, threshold=0.5)
             overlap = overlap_matrix(priors, gts)
 
             # every gt matched, even under-threshold (forced step)
@@ -209,3 +248,36 @@ class TestMatchPriors:
                     assert overlap[i][j] >= 0.5
                     assert all(overlap[i][k] <= overlap[i][j] for k in range(n_gts))
             assert result.n_matched >= n_gts
+
+
+def random_instances(rng):
+    """Matching inputs: 200 with random real-valued boxes, then 200 tie-heavy
+    ones on an integer grid with duplicate priors, duplicate ground truths,
+    ground truths of 1, 2 and 3 boxes, and ground truths no prior overlaps."""
+    for _ in range(200):
+        n_priors = int(rng.integers(3, 31))
+        n_gts = int(rng.integers(1, 4))
+        priors = make_priors([random_box(rng) for _ in range(n_priors)])
+        gts = [
+            MicroTubeTarget(
+                boxes=(random_box(rng), random_box(rng)),
+                class_id=int(rng.integers(0, 5)),
+            )
+            for _ in range(n_gts)
+        ]
+        yield priors, gts
+    far = BoundingBox(100, 100, 104, 104)
+    for _ in range(200):
+        pool = [grid_box(rng) for _ in range(int(rng.integers(2, 8)))]
+        n_priors = int(rng.integers(5, 25))
+        priors = make_priors([pool[int(k)] for k in rng.integers(0, len(pool), size=n_priors)])
+        gts = []
+        for _ in range(int(rng.integers(1, 4))):
+            k = int(rng.integers(1, 4))
+            gts.append(MicroTubeTarget(boxes=tuple(grid_box(rng) for _ in range(k)),
+                                       class_id=int(rng.integers(0, 5))))
+        if rng.random() < 0.5:
+            gts.append(gts[int(rng.integers(0, len(gts)))])
+        if rng.random() < 0.3:
+            gts.append(MicroTubeTarget(boxes=(far,) * int(rng.integers(1, 4)), class_id=0))
+        yield priors, gts

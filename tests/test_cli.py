@@ -155,6 +155,25 @@ class TestErrors:
                     "--patience", "3"]) == 2
         assert "patience must be 1 or 2, got 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("horizon", ["0,4,3", "0,5,2"])
+    @pytest.mark.parametrize("command", ["predict", "eval", "sweep"])
+    def test_horizon_differs_from_file(self, dataset, tmp_path, capsys, command, horizon):
+        # The synth file carries the default horizon 0,5,3 on every line.
+        assert run([command, "--detections", dataset["detections"],
+                    "--manifest", dataset["manifest"], "--out", str(tmp_path / "out"),
+                    "--horizon", horizon]) == 2
+        expected = "(" + horizon.replace(",", ", ") + ")"
+        assert (f"{dataset['detections']}:1: record horizon (0, 5, 3) differs from "
+                f"the requested horizon {expected}") in capsys.readouterr().err
+
+    def test_link_reads_no_horizon(self, tmp_path):
+        data = tmp_path / "data"
+        assert run(["synth", "--out-dir", str(data), "--videos", "2", "--frames", "20",
+                    "--horizon", "2,5,3", "--seed", "3"]) == 0
+        assert run(["link", "--detections", str(data / "detections.jsonl"),
+                    "--manifest", str(data / "manifest.json"),
+                    "--out", str(tmp_path / "t.json")]) == 0
+
     def test_detections_for_unknown_video(self, dataset, tmp_path, capsys):
         other = tmp_path / "other"
         assert run(["synth", "--out-dir", str(other), "--videos", "6",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tubekit.geometry import (
     iou,
     mean_iou_microtube,
     paired_mean_iou,
+    pairwise_iou,
 )
 
 
@@ -92,6 +94,64 @@ class TestIoU:
         for _ in range(2000):
             a, b = random_box(rng), random_box(rng)
             assert iou(a, b) == pytest.approx(rasterized_iou(a, b), abs=1e-3)
+
+
+class TestPairwiseIoU:
+    """Every entry must equal the scalar ``iou`` exactly, with no numpy warning."""
+
+    @staticmethod
+    def assert_matches_scalar(boxes_a, boxes_b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pairwise_iou(np.array([b.as_tuple() for b in boxes_a]).reshape(-1, 4),
+                               np.array([b.as_tuple() for b in boxes_b]).reshape(-1, 4))
+        assert got.shape == (len(boxes_a), len(boxes_b))
+        assert got.tolist() == [[iou(a, b) for b in boxes_b] for a in boxes_a]
+
+    def test_random_boxes(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a = [random_box(rng) for _ in range(int(rng.integers(1, 30)))]
+            b = [random_box(rng) for _ in range(int(rng.integers(1, 30)))]
+            self.assert_matches_scalar(a, b)
+
+    def test_zero_area_boxes(self):
+        boxes = [
+            BoundingBox(0, 0, 10, 10),
+            BoundingBox(5, 5, 5, 5),      # point
+            BoundingBox(2, 0, 2, 10),     # zero width inside the first box
+            BoundingBox(0, 4, 10, 4),     # zero height inside the first box
+            BoundingBox(3, 3, 8, 9),
+        ]
+        self.assert_matches_scalar(boxes, boxes)
+
+    def test_touching_and_disjoint(self):
+        boxes = [
+            BoundingBox(0, 0, 10, 10),
+            BoundingBox(10, 0, 20, 10),   # shares an edge
+            BoundingBox(10, 10, 20, 20),  # shares a corner
+            BoundingBox(0, -10, 10, 0),   # shares the bottom edge
+            BoundingBox(30, 30, 40, 40),  # far away
+            BoundingBox(-1e-9, 0, 1e-9, 10),
+        ]
+        self.assert_matches_scalar(boxes, boxes)
+
+    def test_nested_and_identical(self):
+        rng = np.random.default_rng(12)
+        outer = [random_box(rng) for _ in range(10)]
+        inner = [BoundingBox(b.x_min + 1, b.y_min + 2, b.x_max - 3, b.y_max - 1) for b in outer]
+        self.assert_matches_scalar(outer + inner, outer + inner + outer)
+        got = pairwise_iou(np.array([b.as_tuple() for b in outer]),
+                           np.array([b.as_tuple() for b in outer]))
+        assert np.all(np.diag(got) == 1.0)
+
+    def test_empty_sides(self):
+        self.assert_matches_scalar([], [BoundingBox(0, 0, 1, 1)])
+        self.assert_matches_scalar([BoundingBox(0, 0, 1, 1)], [])
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="must be"):
+            pairwise_iou(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 class TestMeanIoUMicrotube:

@@ -6,6 +6,7 @@ import pytest
 from tubekit.anchors import MatchAssignment
 from tubekit.losses import (
     GradCheckReport,
+    LossBreakdown,
     LossInputs,
     encode_box_sequence,
     finite_difference,
@@ -63,6 +64,21 @@ class TestSoftmaxCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             softmax_cross_entropy([0.0, 0.0], 2)
+        with pytest.raises(ValueError, match="out of range"):
+            softmax_cross_entropy(np.zeros((3, 2)), np.array([0, 1, 2]))
+
+    def test_batch_equals_row_calls(self):
+        rng = np.random.default_rng(13)
+        for n_classes in (2, 4, 9, 22):
+            logits = rng.normal(0.0, 5.0, size=(500, n_classes))
+            labels = rng.integers(0, n_classes, size=500)
+            per_row = softmax_cross_entropy(logits, labels)
+            assert per_row.shape == (500,)
+            assert per_row.tolist() == [softmax_cross_entropy(z, int(k))
+                                        for z, k in zip(logits, labels)]
+            one_label = softmax_cross_entropy(logits, n_classes - 1)
+            assert one_label.tolist() == [softmax_cross_entropy(z, n_classes - 1) for z in logits]
+        assert softmax_cross_entropy(np.zeros((0, 3)), 2).shape == (0,)
 
 
 class TestHardNegativeMining:
@@ -87,6 +103,45 @@ class TestHardNegativeMining:
 
     def test_empty(self):
         assert len(hard_negative_mining([], n_matched=2)) == 0
+
+
+def reference_total_loss(inputs):
+    """The per-row objective: one cross-entropy call per prior and one
+    smooth L1 call per matched prior and available prediction slot.
+    Returns the breakdown and the selected hard-negative indices."""
+    logits = np.asarray(inputs.class_logits, dtype=float)
+    mask = np.asarray(inputs.prediction_mask, dtype=bool)
+    n_priors = len(inputs.assignment.gt_index)
+    n_slots = mask.shape[1]
+    background = logits.shape[1] - 1
+    matched = inputs.assignment.matched_priors()
+    n_matched = len(matched)
+
+    l_cls = 0.0
+    for i in matched:
+        l_cls += softmax_cross_entropy(logits[i], inputs.assignment.gt_class[i])
+    negatives = [i for i in range(n_priors) if inputs.assignment.gt_index[i] < 0]
+    neg_losses = np.array(
+        [softmax_cross_entropy(logits[i], background) for i in negatives], dtype=float
+    )
+    hard = hard_negative_mining(neg_losses, n_matched, inputs.neg_pos_ratio)
+    for k in hard:
+        l_cls += float(neg_losses[k])
+
+    l_reg = 0.0
+    l_pred = 0.0
+    for i in matched:
+        l_reg += smooth_l1(inputs.microtube_outputs[i], inputs.microtube_targets[i])
+        for slot in range(n_slots):
+            if mask[i, slot]:
+                sl = slice(4 * slot, 4 * slot + 4)
+                l_pred += smooth_l1(inputs.prediction_outputs[i, sl],
+                                    inputs.prediction_targets[i, sl])
+
+    total = (l_cls + inputs.alpha * l_reg + inputs.beta * l_pred) / max(n_matched, 1)
+    breakdown = LossBreakdown(total=total, l_cls=l_cls, l_reg=l_reg, l_pred=l_pred,
+                              n_matched=n_matched)
+    return breakdown, [negatives[k] for k in hard]
 
 
 def simple_assignment(gt_index, gt_class):
@@ -226,6 +281,50 @@ class TestTotalLoss:
         out_p = total_loss(permuted)
         assert out_p.total == pytest.approx(out.total, rel=1e-12)
         assert out_p.l_cls == pytest.approx(out.l_cls, rel=1e-12)
+
+    def test_random_inputs_against_reference(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        selected = []
+
+        def recording_mining(neg_losses, n_matched, ratio):
+            picked = hard_negative_mining(neg_losses, n_matched, ratio)
+            selected.append(picked)
+            return picked
+
+        monkeypatch.setattr("tubekit.losses.hard_negative_mining", recording_mining)
+        for _ in range(100):
+            n_priors = int(rng.integers(1, 200))
+            n_classes = int(rng.integers(1, 6))
+            n_slots = int(rng.integers(1, 5))
+            n_gts = int(rng.integers(1, 5))
+            gt_index = np.where(rng.random(n_priors) < rng.random(), -1,
+                                rng.integers(0, n_gts, size=n_priors))
+            classes = rng.integers(0, n_classes, size=n_gts)
+            gt_class = np.where(gt_index >= 0, classes[gt_index], -1)
+            width = 4 * n_slots
+            inputs = LossInputs(
+                class_logits=rng.normal(0.0, 3.0, size=(n_priors, n_classes + 1)),
+                microtube_outputs=rng.normal(size=(n_priors, 8)),
+                prediction_outputs=rng.normal(0.0, 2.0, size=(n_priors, width)),
+                assignment=MatchAssignment(tuple(gt_index.tolist()), tuple(gt_class.tolist()),
+                                           (0.5,) * n_priors, ()),
+                microtube_targets=rng.normal(size=(n_priors, 8)),
+                prediction_targets=rng.normal(size=(n_priors, width)),
+                prediction_mask=rng.random((n_priors, n_slots)) < 0.7,
+                alpha=float(rng.uniform(0.0, 2.0)),
+                beta=float(rng.uniform(0.0, 2.0)),
+                neg_pos_ratio=float(rng.uniform(0.5, 4.0)),
+            )
+            selected.clear()
+            out = total_loss(inputs)
+            [picked] = selected
+            expected, expected_hard = reference_total_loss(inputs)
+            negatives = np.flatnonzero(gt_index < 0)
+            assert negatives[picked].tolist() == expected_hard
+            assert out.n_matched == expected.n_matched
+            for name in ("total", "l_cls", "l_reg", "l_pred"):
+                assert getattr(out, name) == pytest.approx(getattr(expected, name),
+                                                           rel=1e-12, abs=0.0), name
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(9)
