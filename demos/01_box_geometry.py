@@ -46,9 +46,11 @@ print("fully outside collapses to zero area:", gone.as_tuple(), "area", gone.are
 
 # --- Constant-velocity extrapolation ----------------------------------------
 # Velocity is the mean first difference over the last 5 history entries;
-# each target box is the last box advanced and then clipped.
-history = [(t, BoundingBox(10 + 2 * t, 40, 60 + 2 * t, 120)) for t in range(1, 6)]
-futures = extrapolate(history, [6, 8, 10], frame)
+# each target box is the last box advanced and then clipped. History and
+# result are arrays: one x_min, y_min, x_max, y_max row per frame.
+frames = [1, 2, 3, 4, 5]
+history = [(10 + 2 * t, 40, 60 + 2 * t, 120) for t in frames]
+futures = extrapolate(frames, history, [6, 8, 10], frame)
 print("\nwalking 2 px/frame, positions at t = 6, 8, 10:")
-for t, box in zip([6, 8, 10], futures):
-    print(f"  t={t}: x_min = {box.x_min}")
+for t, row in zip([6, 8, 10], futures.tolist()):
+    print(f"  t={t}: x_min = {row[0]}")

@@ -21,6 +21,7 @@ from .geometry import (
     BoundingBox,
     FrameSize,
     OffsetCode,
+    Segment,
     clip_box,
     decode_offsets,
     encode_offsets,
@@ -89,6 +90,7 @@ __all__ = [
     "PredictionPayload",
     "PriorBoxSet",
     "PriorBoxSpec",
+    "Segment",
     "assemble_future",
     "average_precision",
     "avg_map",

@@ -47,7 +47,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .geometry import BoundingBox, FrameSize
+import numpy as np
+
+from .geometry import BoundingBox, FrameSize, Segment
 from .linking import ActionTube, MicroTubeDetection, PredictionPayload
 from .metrics import AVG_DELTA, EvalReport, GroundTruthTube
 from .prediction import PredictionHorizon
@@ -118,6 +120,8 @@ def read_detections(
             if expected is not None and horizon != expected:
                 _fail(where, f"record horizon {horizon} differs from the requested horizon {expected}")
             t = _as_int(obj["t"], where, "t")
+            if t < 1:
+                _fail(where, f"t must be a frame index >= 1, got {t}")
             delta = _as_int(obj["delta"], where, "delta")
             microtube = _as_number_list(obj["microtube"], where, "microtube")
             prediction = obj.get("prediction")
@@ -344,8 +348,8 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
         fh.write("\n")
 
 
-def _frame_rows(boxes: Mapping[int, BoundingBox]) -> list[list[float]]:
-    return [[float(f), *boxes[f].as_tuple()] for f in sorted(boxes)]
+def _frame_rows(segment: Segment) -> list[list[float]]:
+    return np.column_stack((segment.frames, segment.boxes)).tolist()
 
 
 def write_tubes(tubes_by_video: Mapping[str, Sequence[ActionTube]], path: str) -> None:

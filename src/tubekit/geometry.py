@@ -3,15 +3,15 @@
 Boxes are half-open pixel extents with real-valued corners; the area of a
 box is ``(x_max - x_min) * (y_max - y_min)``. Everything in this module is
 a pure function over immutable values and is safe to call concurrently.
-:func:`pairwise_iou` is the broadcast form of :func:`iou` over ``(N, 4)``
-corner arrays.
+:func:`box_iou` is the broadcast form of :func:`iou` over ``(..., 4)``
+corner arrays, and a :class:`Segment` holds a tube's boxes as arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -122,25 +122,81 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every row of ``a`` (N, 4) with every row of ``b`` (M, 4).
+def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of corresponding rows of two broadcastable ``(..., 4)`` arrays.
 
-    Rows are ``x_min, y_min, x_max, y_max``. Entry (i, j) equals
-    ``iou(a[i], b[j])`` bit for bit: the arithmetic runs in the same order,
-    and pairs where either area is 0 or the boxes do not overlap are 0.
+    Rows are ``x_min, y_min, x_max, y_max``. Each entry equals :func:`iou`
+    of its two rows bit for bit: the arithmetic runs in the same order, and
+    pairs where either area is 0 or the boxes do not overlap are 0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[1] != 4 or b.ndim != 2 or b.shape[1] != 4:
-        raise ValueError(f"box arrays must be (N, 4) and (M, 4), got {a.shape} and {b.shape}")
-    area_a = ((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]))[:, None]
-    area_b = ((b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]))[None, :]
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    if a.shape[-1:] != (4,) or b.shape[-1:] != (4,):
+        raise ValueError(f"box arrays must end in 4 coordinates, got {a.shape} and {b.shape}")
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = ix * iy
     union = area_a + area_b - inter
     overlapping = (area_a > 0.0) & (area_b > 0.0) & (ix > 0.0) & (iy > 0.0)
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlapping)
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every row of ``a`` (N, 4) with every row of ``b`` (M, 4): (N, M)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 4 or b.ndim != 2 or b.shape[1] != 4:
+        raise ValueError(f"box arrays must be (N, 4) and (M, 4), got {a.shape} and {b.shape}")
+    return box_iou(a[:, None, :], b[None, :, :])
+
+
+class Segment(Mapping[int, BoundingBox]):
+    """A read-only frame -> box mapping stored as arrays.
+
+    ``frames`` holds strictly ascending frame indices (int, N) and
+    ``boxes`` their corners (float, N x 4). Hot paths read the arrays; a
+    lookup builds a :class:`BoundingBox` only when asked. Frames need not
+    be contiguous: a stride-2 detected segment holds frames 1, 3, 5, ...
+    """
+
+    __slots__ = ("frames", "boxes")
+
+    def __init__(self, frames: Sequence[int] | np.ndarray, boxes: Sequence | np.ndarray) -> None:
+        self.frames = np.asarray(frames, dtype=np.int64)
+        self.boxes = np.asarray(boxes, dtype=float).reshape(len(self.frames), 4)
+        self.frames.flags.writeable = False
+        self.boxes.flags.writeable = False
+
+    @classmethod
+    def of(cls, boxes: Mapping[int, BoundingBox]) -> "Segment":
+        """The segment of a frame -> box mapping; a segment is returned as is."""
+        if isinstance(boxes, Segment):
+            return boxes
+        frames = sorted(boxes)
+        return cls(frames, [boxes[f].as_tuple() for f in frames])
+
+    def between(self, first: int, last: int) -> "Segment":
+        """The boxes at frames ``first..last``, as views of these arrays."""
+        lo, hi = np.searchsorted(self.frames, (first, last + 1))
+        return Segment(self.frames[lo:hi], self.boxes[lo:hi])
+
+    def __getitem__(self, frame: int) -> BoundingBox:
+        if isinstance(frame, (int, np.integer)):
+            i = int(np.searchsorted(self.frames, frame))
+            if i < len(self.frames) and self.frames[i] == frame:
+                return BoundingBox(*self.boxes[i].tolist())
+        raise KeyError(frame)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.frames.tolist())
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __repr__(self) -> str:
+        return f"Segment(frames={self.frames.tolist()}, boxes={self.boxes.tolist()})"
 
 
 def mean_iou_microtube(prior: BoundingBox, gt_boxes: Sequence[BoundingBox]) -> float:
@@ -224,22 +280,35 @@ def clip_box(box: BoundingBox, frame: FrameSize) -> BoundingBox:
     )
 
 
+def clip_boxes(boxes: np.ndarray, frame: FrameSize) -> np.ndarray:
+    """:func:`clip_box` over the rows of a ``(..., 4)`` array, bit for bit.
+
+    ``np.where`` keeps the scalar tie rule: ``max(-0.0, 0.0)`` is -0.0,
+    where ``np.maximum`` would return 0.0.
+    """
+    hi = np.array([frame.width, frame.height, frame.width, frame.height], dtype=float)
+    boxes = np.where(boxes < 0.0, 0.0, boxes)
+    return np.where(boxes > hi, hi, boxes)
+
+
 def extrapolate(
-    history: Sequence[tuple[int, BoundingBox]],
-    target_frames: Sequence[int],
+    frames: Sequence[int] | np.ndarray,
+    boxes: Sequence | np.ndarray,
+    target_frames: Sequence[int] | np.ndarray,
     frame: FrameSize,
     window: int = 5,
-) -> list[BoundingBox]:
+) -> np.ndarray:
     """Continue a box trajectory at constant velocity.
 
     The per-coordinate velocity is the mean of consecutive first
     differences (each divided by its frame gap) over the last
-    ``min(window, len(history))`` entries. Each target box is the last
-    history box advanced by velocity times the frame gap, then clipped to
-    the frame.
+    ``min(window, len(frames))`` history entries, summed in time order.
+    Each target box is the last history box advanced by velocity times the
+    frame gap, then clipped to the frame.
 
     Args:
-        history: time-ordered ``(frame_index, box)`` pairs, at least 2.
+        frames: strictly increasing history frames, at least 2.
+        boxes: ``(len(frames), 4)`` history boxes.
         target_frames: frames to predict, all strictly after the last
             history frame.
         frame: clipping extent.
@@ -247,35 +316,33 @@ def extrapolate(
             estimated from (default 5).
 
     Returns:
-        One box per target frame, in the order given.
+        A ``(len(target_frames), 4)`` array, one row per target frame in
+        the order given.
     """
-    if len(history) < 2:
+    frames = np.asarray(frames, dtype=np.int64)
+    boxes = np.asarray(boxes, dtype=float)
+    targets = np.asarray(target_frames, dtype=np.int64)
+    if len(frames) < 2:
         raise ValueError("insufficient history")
-    frames = [f for f, _ in history]
-    if any(b >= a for a, b in zip(frames[1:], frames)):
-        raise ValueError(f"history frames must be strictly increasing, got {frames}")
-    last_frame, last_box = history[-1]
-    if any(t <= last_frame for t in target_frames):
+    if boxes.shape != (len(frames), 4):
+        raise ValueError(f"history needs one box per frame, got {boxes.shape} for {len(frames)}")
+    if np.any(frames[1:] <= frames[:-1]):
+        raise ValueError(f"history frames must be strictly increasing, got {frames.tolist()}")
+    last_frame = int(frames[-1])
+    if np.any(targets <= last_frame):
         raise ValueError(f"target frames must follow the last history frame {last_frame}")
 
-    recent = history[-min(window, len(history)):]
-    steps = len(recent) - 1
-    velocity = [0.0, 0.0, 0.0, 0.0]
-    for (fa, a), (fb, b) in zip(recent, recent[1:]):
-        gap = fb - fa
-        for k, (va, vb) in enumerate(zip(a.as_tuple(), b.as_tuple())):
-            velocity[k] += (vb - va) / gap
-    velocity = [v / steps for v in velocity]
+    recent_frames, recent = frames[-window:], boxes[-window:]
+    steps = (recent[1:] - recent[:-1]) / (recent_frames[1:] - recent_frames[:-1])[:, None]
+    velocity = np.zeros(4)
+    for step in steps:  # sequential adds from 0.0, in time order
+        velocity = velocity + step
+    velocity = velocity / len(steps)
 
-    out = []
-    for t in target_frames:
-        gap = t - last_frame
-        x0, y0, x1, y1 = (c + v * gap for c, v in zip(last_box.as_tuple(), velocity))
-        # A shrinking box extrapolated past its collapse point inverts;
-        # collapse to the crossing midpoint to keep the box valid.
-        if x0 > x1:
-            x0 = x1 = 0.5 * (x0 + x1)
-        if y0 > y1:
-            y0 = y1 = 0.5 * (y0 + y1)
-        out.append(clip_box(BoundingBox(x0, y0, x1, y1), frame))
-    return out
+    out = recent[-1] + velocity * (targets - last_frame)[:, None]
+    # A shrinking box extrapolated past its collapse point inverts;
+    # collapse to the crossing midpoint to keep the box valid.
+    for lo, hi in ((0, 2), (1, 3)):
+        inverted = out[:, lo] > out[:, hi]
+        out[inverted, lo] = out[inverted, hi] = 0.5 * (out[inverted, lo] + out[inverted, hi])
+    return clip_boxes(out, frame)

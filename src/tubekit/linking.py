@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .geometry import BoundingBox, iou, paired_mean_iou
+import numpy as np
+
+from .geometry import BoundingBox, Segment, iou, paired_mean_iou
 
 DEFAULT_NMS_THRESHOLD = 0.45
 
@@ -87,42 +89,42 @@ class ActionTube:
     """A class-labeled, scored, frame-indexed box sequence.
 
     ``detected`` covers observed frames (contiguous at the micro-tube
-    stride); ``predicted`` covers strictly later, unobserved frames. The
-    member micro-tubes are kept so their prediction payloads can seed the
-    future segment.
+    stride); ``predicted`` covers strictly later, unobserved frames. Both
+    accept any frame -> box mapping and are stored as :class:`Segment`.
+    The member micro-tubes are kept so their prediction payloads can seed
+    the future segment.
     """
 
     class_id: int
     tube_score: float
-    detected: dict[int, BoundingBox]
-    predicted: dict[int, BoundingBox]
+    detected: Mapping[int, BoundingBox]
+    predicted: Mapping[int, BoundingBox]
     members: tuple[MicroTubeDetection, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.detected:
+        self.detected = Segment.of(self.detected)
+        self.predicted = Segment.of(self.predicted)
+        frames = self.detected.frames
+        if not len(frames):
             raise ValueError("tube without detected boxes")
-        frames = sorted(self.detected)
-        gaps = {b - a for a, b in zip(frames, frames[1:])}
+        gaps = np.unique(np.diff(frames))
         if len(gaps) > 1:
-            raise ValueError(f"detected segment not contiguous, frame gaps {sorted(gaps)}")
-        if self.predicted:
-            last = frames[-1]
-            if min(self.predicted) <= last:
-                raise ValueError("predicted frames must all follow the detected segment")
+            raise ValueError(f"detected segment not contiguous, frame gaps {gaps.tolist()}")
+        if len(self.predicted) and self.predicted.frames[0] <= frames[-1]:
+            raise ValueError("predicted frames must all follow the detected segment")
 
     @property
     def first_frame(self) -> int:
-        return min(self.detected)
+        return int(self.detected.frames[0])
 
     @property
     def last_detected_frame(self) -> int:
-        return max(self.detected)
+        return int(self.detected.frames[-1])
 
-    def full_segment(self) -> dict[int, BoundingBox]:
-        """Detected and predicted boxes merged into one frame map."""
-        merged = dict(self.detected)
-        merged.update(self.predicted)
-        return merged
+    def full_segment(self) -> Segment:
+        """Detected then predicted boxes as one segment."""
+        return Segment(np.concatenate((self.detected.frames, self.predicted.frames)),
+                       np.concatenate((self.detected.boxes, self.predicted.boxes)))
 
 
 def nms(
@@ -228,17 +230,18 @@ def link_step(
 
 
 def _finalize(tube: ActiveTube) -> ActionTube:
-    detected: dict[int, BoundingBox] = {}
+    detected: dict[int, tuple[float, ...]] = {}
     for m in tube.members:
-        # Ascending order; at the shared frame the newer micro-tube's first
-        # box overwrites the older one's second box.
-        detected[m.t] = m.box_t
-        detected[m.t + m.delta] = m.box_t_plus_delta
+        # At the shared frame the newer micro-tube's first box overwrites
+        # the older one's second box.
+        detected[m.t] = m.box_t.as_tuple()
+        detected[m.t + m.delta] = m.box_t_plus_delta.as_tuple()
+    frames = sorted(detected)
     score = sum(m.class_scores[tube.class_id] for m in tube.members) / len(tube.members)
     return ActionTube(
         class_id=tube.class_id,
         tube_score=score,
-        detected=dict(sorted(detected.items())),
+        detected=Segment(frames, [detected[f] for f in frames]),
         predicted={},
         members=tuple(tube.members),
     )

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Mapping, Sequence
 
-from .geometry import BoundingBox, FrameSize, iou
+import numpy as np
+
+from .geometry import BoundingBox, FrameSize, Segment, box_iou
 from .linking import ActionTube, LinkParams, MicroTubeDetection, OnlineLinker
 from .prediction import PredictionHorizon, early_label, predict_full_tube
 
@@ -48,16 +50,38 @@ class GroundTruthTube:
             raise ValueError("ground-truth tube frames must be contiguous")
 
 
+def _overlaps(dets: Sequence[Segment], gts: Sequence[Segment]) -> np.ndarray:
+    """Tube IoU of every detection segment with every ground-truth one, (D, G).
+
+    The segments are scattered onto one dense frame axis, absent frames as
+    zero boxes (IoU 0), and one broadcast kernel scores every frame.
+    """
+    segments = [*dets, *gts]
+    frames = np.concatenate([s.frames for s in segments])
+    if not len(frames):
+        return np.zeros((len(dets), len(gts)))
+    first = frames.min()
+    rows = np.repeat(np.arange(len(segments)), [len(s) for s in segments])
+    cols = frames - first
+    dense = np.zeros((len(segments), frames.max() - first + 1, 4))
+    present = np.zeros(dense.shape[:2], dtype=bool)
+    dense[rows, cols] = np.concatenate([s.boxes for s in segments])
+    present[rows, cols] = True
+    d = len(dets)
+    per_frame = box_iou(dense[:d, None], dense[None, d:])
+    # cumsum adds frame by frame in ascending order, as the scalar sum over
+    # a small-int frame set did; np.sum would add pairwise.
+    total = np.cumsum(per_frame, axis=-1)[..., -1]
+    union = np.count_nonzero(present[:d, None] | present[None, d:], axis=-1)
+    return np.divide(total, union, out=np.zeros_like(total), where=union > 0)
+
+
 def tube_iou(a: FrameBoxes, b: FrameBoxes) -> float:
     """Mean per-frame IoU over the union of both tubes' frames.
 
     Frames present on only one side score 0; two empty tubes score 0.
     """
-    frames = set(a) | set(b)
-    if not frames:
-        return 0.0
-    total = sum(iou(a[f], b[f]) for f in frames if f in a and f in b)
-    return total / len(frames)
+    return float(_overlaps([Segment.of(a)], [Segment.of(b)])[0, 0])
 
 
 def _every_point_ap(tp: Sequence[int], fp: Sequence[int], n_gt: int) -> float:
@@ -93,20 +117,27 @@ def _class_ap(
         return {d: None for d in deltas}
 
     order = sorted(range(len(detections)), key=lambda i: (-detections[i][1], i))
-    overlaps = []
-    for i in order:
-        video_id, _, boxes = detections[i]
-        overlaps.append([tube_iou(boxes, g) for g in gts.get(video_id, ())])
+    by_video: dict[str, list[int]] = {}
+    for i, (video_id, _, _) in enumerate(detections):
+        by_video.setdefault(video_id, []).append(i)
+    rows: list[list[float]] = [[] for _ in detections]
+    for video_id, indices in by_video.items():
+        video_gts = gts.get(video_id)
+        if video_gts:
+            matrix = _overlaps([Segment.of(detections[i][2]) for i in indices],
+                               [Segment.of(g) for g in video_gts])
+            for i, row in zip(indices, matrix.tolist()):
+                rows[i] = row
 
     out = {}
     for delta in deltas:
         claimed: dict[str, set[int]] = {}
         tp = []
         fp = []
-        for rank, i in enumerate(order):
+        for i in order:
             video_id = detections[i][0]
             used = claimed.setdefault(video_id, set())
-            row = overlaps[rank]
+            row = rows[i]
             best_j = -1
             best_ov = 0.0
             for j, ov in enumerate(row):
@@ -237,10 +268,6 @@ def observed_frames(num_frames: int, percentage: int) -> int:
     return math.ceil(num_frames * percentage / 100)
 
 
-def _truncate(boxes: FrameBoxes, first: int, last: int) -> dict[int, BoundingBox]:
-    return {f: b for f, b in boxes.items() if first <= f <= last}
-
-
 def evaluate_sweep(
     detections_by_video: Mapping[str, Sequence[MicroTubeDetection]],
     video_meta: Mapping[str, tuple[int, FrameSize]],
@@ -278,16 +305,18 @@ def evaluate_sweep(
     with_avg = all(d in deltas for d in AVG_MAP_GRID)
 
     class_ids = tuple(sorted({g.class_id for g in gt_tubes}))
-    gt_by_class: dict[int, dict[str, list[FrameBoxes]]] = {c: {} for c in class_ids}
+    gt_by_class: dict[int, dict[str, list[Segment]]] = {c: {} for c in class_ids}
     gt_classes_by_video: dict[str, set[int]] = {v: set() for v in video_meta}
     for g in gt_tubes:
         if g.video_id not in video_meta:
             raise ValueError(f"ground-truth tube references unknown video {g.video_id!r}")
         num_frames = video_meta[g.video_id][0]
-        if min(g.boxes) != 1 or max(g.boxes) != num_frames:
+        boxes = Segment.of(g.boxes)
+        first, last = boxes.frames[0], boxes.frames[-1]
+        if first != 1 or last != num_frames:
             raise ValueError(f"ground-truth tube of video {g.video_id!r} spans frames "
-                             f"{min(g.boxes)}..{max(g.boxes)}, not 1..{num_frames}")
-        gt_by_class[g.class_id].setdefault(g.video_id, []).append(g.boxes)
+                             f"{first}..{last}, not 1..{num_frames}")
+        gt_by_class[g.class_id].setdefault(g.video_id, []).append(boxes)
         gt_classes_by_video[g.video_id].add(g.class_id)
     without_gt = [v for v, classes in gt_classes_by_video.items() if not classes]
     if without_gt:
@@ -368,12 +397,11 @@ def evaluate_sweep(
             for video_id, tubes in gt_by_class[c].items():
                 f_obs = full_tubes[video_id][0]
                 num_frames = video_meta[video_id][0]
-                online = [_truncate(g, 1, f_obs) for g in tubes]
-                future = [m for m in (_truncate(g, f_obs + 1, num_frames) for g in tubes) if m]
-                pools["online_map"][c][1][video_id] = online
-                if future:
-                    pools["p_map"][c][1][video_id] = future
-                pools["c_map"][c][1][video_id] = [dict(g) for g in tubes]
+                pools["online_map"][c][1][video_id] = [g.between(1, f_obs) for g in tubes]
+                if f_obs < num_frames:
+                    pools["p_map"][c][1][video_id] = [g.between(f_obs + 1, num_frames)
+                                                      for g in tubes]
+                pools["c_map"][c][1][video_id] = tubes
 
         online_aps = class_aps(pools["online_map"])
         add_map_cells("online_map", q, online_aps)

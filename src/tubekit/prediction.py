@@ -4,14 +4,18 @@ A tube observed up to frame t carries, through its member micro-tubes,
 regressed future boxes reaching at most ``t - delta + n * delta_f``. This
 module copies those payload boxes into the future segment (latest member
 wins on conflicts), then fills every remaining frame up to the video end
-by constant-velocity extrapolation of the already-built sequence.
+by constant-velocity extrapolation of the already-built sequence. The
+completed segment is built as arrays; each run of frames without payload
+is extrapolated in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .geometry import BoundingBox, FrameSize, clip_box, extrapolate
+import numpy as np
+
+from .geometry import BoundingBox, FrameSize, Segment, clip_boxes, extrapolate
 from .linking import ActionTube
 
 VELOCITY_WINDOW = 5
@@ -111,27 +115,29 @@ def predict_full_tube(
     if now >= video_length:
         return replace(tube, predicted={})
 
-    assembled = {
-        f: clip_box(box, frame)
-        for f, box in assemble_future(tube, now, horizon, aggregate).items()
-        if f <= video_length
-    }
+    payload = assemble_future(tube, now, horizon, aggregate)
+    payload_frames = [f for f in payload if f <= video_length]  # ascending
+    assembled = clip_boxes(
+        np.array([payload[f].as_tuple() for f in payload_frames]).reshape(-1, 4), frame)
+    at = np.array(payload_frames, dtype=np.int64)
+    known_frames = np.concatenate((tube.detected.frames, at))
+    known_boxes = np.concatenate((tube.detected.boxes, assembled))
 
-    known = sorted({**tube.detected, **assembled}.items())
-    predicted = dict(assembled)
-    missing = [f for f in range(now + 1, video_length + 1) if f not in assembled]
-    runs: list[list[int]] = []
-    for f in missing:
-        if runs and runs[-1][-1] == f - 1:
-            runs[-1].append(f)
-        else:
-            runs.append([f])
-    for run in runs:
-        history = [(f, b) for f, b in known if f < run[0]][-VELOCITY_WINDOW:]
-        boxes = extrapolate(history, run, frame, window=VELOCITY_WINDOW)
-        predicted.update(zip(run, boxes))
+    boxes = np.empty((video_length - now, 4))
+    boxes[at - (now + 1)] = assembled
+    # Each run of frames before a payload frame (or the video end) is
+    # extrapolated from the last known boxes before the run; known[:k] are
+    # the detected boxes plus the payload boxes preceding that frame.
+    start = now + 1
+    for k, stop in enumerate(payload_frames + [video_length + 1], start=len(tube.detected)):
+        if stop > start:
+            history = slice(max(0, k - VELOCITY_WINDOW), k)
+            boxes[start - now - 1: stop - now - 1] = extrapolate(
+                known_frames[history], known_boxes[history], np.arange(start, stop), frame,
+                window=VELOCITY_WINDOW)
+        start = stop + 1
 
-    return replace(tube, predicted=dict(sorted(predicted.items())))
+    return replace(tube, predicted=Segment(np.arange(now + 1, video_length + 1), boxes))
 
 
 def early_label(tubes: list[ActionTube]) -> int:

@@ -53,18 +53,30 @@ class ActorSpec:
                 vx, vy = sx, sy
         return vx, vy
 
+    def trajectory(self, first: int, last: int) -> dict[int, BoundingBox]:
+        """Unclipped true boxes at frames ``first..last``; the schedule
+        extends past both ends.
+
+        The motion is replayed once, frame by frame from frame 1 in both
+        directions. Before frame 1 every velocity is the first segment's,
+        so stepping backwards adds the same terms as replaying forwards
+        from ``first``.
+        """
+        boxes = {1: self.initial_box}
+        box = self.initial_box
+        for f in range(1, last):
+            box = box.translated(*self.velocity_at(f))
+            boxes[f + 1] = box
+        box = self.initial_box
+        for f in range(0, first - 1, -1):
+            vx, vy = self.velocity_at(f)
+            box = box.translated(-vx, -vy)
+            boxes[f] = box
+        return {f: boxes[f] for f in range(first, last + 1)}
+
     def box_at(self, frame: int) -> BoundingBox:
         """Unclipped true box at any frame; the schedule extends past both ends."""
-        box = self.initial_box
-        if frame >= 1:
-            for f in range(1, frame):
-                vx, vy = self.velocity_at(f)
-                box = box.translated(vx, vy)
-        else:
-            for f in range(frame, 1):
-                vx, vy = self.velocity_at(f)
-                box = box.translated(-vx, -vy)
-        return box
+        return self.trajectory(frame, frame)[frame]
 
 
 @dataclass(frozen=True)
@@ -111,8 +123,8 @@ class ScenarioSpec:
             first = clip_box(actor.initial_box, self.frame)
             if first != actor.initial_box:
                 raise ValueError(f"actor {k} starts outside the frame")
-            for f in range(1, self.num_frames + 1):
-                if clip_box(actor.box_at(f), self.frame).area <= 0.0:
+            for f, box in actor.trajectory(1, self.num_frames).items():
+                if clip_box(box, self.frame).area <= 0.0:
                     raise ValueError(f"actor {k} leaves the frame entirely at frame {f}")
 
 
@@ -166,9 +178,14 @@ def generate(
     noise = spec.noise
     horizon = spec.horizon
 
-    truth = [
-        {f: clip_box(actor.box_at(f), spec.frame) for f in range(1, spec.num_frames + 1)}
+    # Every frame generation reads: the past slot, the video, the payload reach.
+    paths = [
+        actor.trajectory(1 - horizon.delta_p, spec.num_frames + horizon.n * horizon.delta_f)
         for actor in spec.actors
+    ]
+    truth = [
+        {f: clip_box(path[f], spec.frame) for f in range(1, spec.num_frames + 1)}
+        for path in paths
     ]
     tubes = tuple(
         GroundTruthTube(video_id=video_id, class_id=actor.class_id, boxes=boxes)
@@ -180,16 +197,16 @@ def generate(
     detections: list[MicroTubeDetection] = []
     # Consecutive micro-tube sets are delta apart: t = 1, 1+delta, 1+2*delta, ...
     for t in range(1, spec.num_frames - spec.delta + 1, spec.delta):
-        for actor in spec.actors:
+        for actor, path in zip(spec.actors, paths):
             missed = rng.random() < noise.miss_rate
-            box_a = _jitter_box(rng, actor.box_at(t), noise.center_sigma,
+            box_a = _jitter_box(rng, path[t], noise.center_sigma,
                                 noise.size_sigma, spec.frame)
-            box_b = _jitter_box(rng, actor.box_at(t + spec.delta), noise.center_sigma,
+            box_b = _jitter_box(rng, path[t + spec.delta], noise.center_sigma,
                                 noise.size_sigma, spec.frame)
-            past = _jitter_box(rng, actor.box_at(t - horizon.delta_p),
+            past = _jitter_box(rng, path[t - horizon.delta_p],
                                noise.prediction_sigma, 0.0, spec.frame)
             future = tuple(
-                _jitter_box(rng, actor.box_at(t + k * horizon.delta_f),
+                _jitter_box(rng, path[t + k * horizon.delta_f],
                             noise.prediction_sigma, 0.0, spec.frame)
                 for k in range(1, horizon.n + 1)
             )

@@ -184,20 +184,30 @@ class TestErrors:
         assert "missing from the manifest" in capsys.readouterr().err
 
 
-def test_traced_link_counts_match_outputs(tmp_path):
+@pytest.mark.parametrize("command", ["link", "predict", "sweep"])
+def test_traced_link_counts_match_outputs(tmp_path, command):
     """The benchmark's tracer still finds the functions it wraps, and its
     counts agree with the files; a subprocess, because it rebinds globals."""
     data = tmp_path / "data"
-    assert run(["synth", "--out-dir", str(data), "--videos", "3", "--frames", "20",
+    assert run(["synth", "--out-dir", str(data), "--videos", "3", "--frames", "40",
                 "--seed", "2"]) == 0
-    detections, out, trace = data / "detections.jsonl", tmp_path / "t.json", tmp_path / "trace"
+    detections, out, trace = data / "detections.jsonl", tmp_path / "out", tmp_path / "trace"
+    extra = {"link": [], "predict": ["--observed-pct", "50"], "sweep": []}[command]
     traced_cli = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
     done = subprocess.run(
-        [sys.executable, str(traced_cli), str(trace), "--", "link", "--detections",
-         str(detections), "--manifest", str(data / "manifest.json"), "--out", str(out)],
+        [sys.executable, str(traced_cli), str(trace), "--", command, "--detections",
+         str(detections), "--manifest", str(data / "manifest.json"), "--out", str(out),
+         *extra],
         capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     counts = json.loads(trace.read_text())["counts"]
     assert counts["dataio.records_read"] == len(detections.read_text().splitlines())
-    tubes = json.loads(out.read_text())["videos"]
-    assert counts["linking.tubes_built"] == sum(len(v["tubes"]) for v in tubes)
+    if command == "sweep":
+        assert counts["metrics.evaluate_sweep"] == 1
+        assert counts["prediction.extrapolated_frames"] > 0
+        return
+    tubes = [t for v in json.loads(out.read_text())["videos"] for t in v["tubes"]]
+    assert counts["linking.tubes_built"] == len(tubes)
+    if command == "predict":
+        frames = counts["prediction.payload_frames"] + counts["prediction.extrapolated_frames"]
+        assert frames == sum(len(t["predicted"]) for t in tubes)

@@ -104,6 +104,7 @@ class TestDetectionRecords:
             ({"prediction": prediction[:4] + [fx_max, fy_min, fx_min, fy_max] + prediction[8:]},
              "inverted box"),
             ({"scores": [1.2, -0.2, 0.0, 0.0]}, "negative class score"),
+            ({"t": -1}, "t must be a frame index >= 1, got -1"),
         ]
         for change, message in cases:
             path.write_text(json.dumps({**good, **change}) + "\n")

@@ -9,6 +9,7 @@ from tubekit.geometry import (
     FrameSize,
     OffsetCode,
     clip_box,
+    clip_boxes,
     decode_offsets,
     encode_offsets,
     extrapolate,
@@ -249,10 +250,29 @@ class TestClipBox:
             assert 0 <= c.x_min <= c.x_max <= self.frame.width
             assert 0 <= c.y_min <= c.y_max <= self.frame.height
 
+    def test_array_form_matches_scalar(self):
+        # Signed zeros too: max(-0.0, 0.0) keeps -0.0, np.maximum would not.
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(-100, 400, size=(200, 4))
+        rows[:, 2:] = np.maximum(rows[:, :2], rows[:, 2:])
+        rows[:20] = [[-0.0, -0.0, 0.0, 0.0], [-0.0, 5.0, 320.0, 240.0]] * 10
+        clipped = clip_boxes(rows, self.frame)
+        for row, got in zip(rows.tolist(), clipped.tolist()):
+            want = clip_box(BoundingBox(*row), self.frame).as_tuple()
+            assert list(map(repr, got)) == list(map(repr, want))
+
     def test_fully_outside_collapses_but_survives(self):
         gone = clip_box(BoundingBox(400, 50, 450, 90), self.frame)
         assert gone.area == 0.0
         assert iou(gone, BoundingBox(0, 0, 320, 240)) == 0.0
+
+
+def extrapolate_pairs(history, target_frames, frame):
+    """``extrapolate`` on ``(frame, box)`` pairs, with its rows back as boxes."""
+    out = extrapolate([f for f, _ in history], [b.as_tuple() for _, b in history],
+                      target_frames, frame)
+    assert out.shape == (len(target_frames), 4)
+    return [BoundingBox(*row) for row in out.tolist()]
 
 
 class TestExtrapolate:
@@ -261,18 +281,18 @@ class TestExtrapolate:
     def test_constant_history_stays_put(self):
         b = BoundingBox(50, 50, 90, 90)
         history = [(t, b) for t in range(1, 6)]
-        for out in extrapolate(history, [6, 9, 20], self.frame):
+        for out in extrapolate_pairs(history, [6, 9, 20], self.frame):
             assert out == b
 
     def test_constant_velocity_continuation(self):
         # +2 px/frame in x over 5 frames; 3 frames ahead means +6 px
         history = [(t, BoundingBox(10 + 2 * t, 20, 40 + 2 * t, 60)) for t in range(1, 6)]
-        out = extrapolate(history, [8], self.frame)[0]
+        out = extrapolate_pairs(history, [8], self.frame)[0]
         assert out == BoundingBox(10 + 2 * 8, 20, 40 + 2 * 8, 60)
 
     def test_clipped_at_right_edge(self):
         history = [(t, BoundingBox(250 + 10 * t, 0, 290 + 10 * t, 40)) for t in range(1, 4)]
-        out = extrapolate(history, [7], self.frame)[0]
+        out = extrapolate_pairs(history, [7], self.frame)[0]
         assert out.x_max == 320.0
 
     def test_affine_history_exact_before_clipping(self):
@@ -286,35 +306,35 @@ class TestExtrapolate:
                 for t in range(1, 8)
             ]
             target = 12
-            out = extrapolate(history, [target], self.frame)[0]
+            out = extrapolate_pairs(history, [target], self.frame)[0]
             expect = (x0 + vx * target, y0 + vy * target,
                       x0 + w + vx * target, y0 + h + vy * target)
             np.testing.assert_allclose(out.as_tuple(), expect, rtol=1e-9, atol=1e-9)
 
     def test_short_history_uses_all(self):
         history = [(1, BoundingBox(0, 0, 10, 10)), (2, BoundingBox(3, 0, 13, 10))]
-        out = extrapolate(history, [4], self.frame)[0]
+        out = extrapolate_pairs(history, [4], self.frame)[0]
         assert out == BoundingBox(9, 0, 19, 10)
 
     def test_window_limits_lookback(self):
         # one old outlier beyond the 5-entry window must not affect velocity
         history = [(0, BoundingBox(200, 200, 220, 220))]
         history += [(t, BoundingBox(10 + t, 20, 30 + t, 40)) for t in range(1, 6)]
-        out = extrapolate(history, [6], self.frame)[0]
+        out = extrapolate_pairs(history, [6], self.frame)[0]
         assert out == BoundingBox(16, 20, 36, 40)
 
     def test_insufficient_history(self):
         with pytest.raises(ValueError, match="insufficient history"):
-            extrapolate([(1, BoundingBox(0, 0, 10, 10))], [2], self.frame)
+            extrapolate_pairs([(1, BoundingBox(0, 0, 10, 10))], [2], self.frame)
 
     def test_targets_must_follow_history(self):
         history = [(1, BoundingBox(0, 0, 10, 10)), (2, BoundingBox(0, 0, 10, 10))]
         with pytest.raises(ValueError, match="target frames"):
-            extrapolate(history, [2], self.frame)
+            extrapolate_pairs(history, [2], self.frame)
 
     def test_shrinking_box_collapses_instead_of_inverting(self):
         history = [
             (t, BoundingBox(10 * t, 0, 100 - 10 * t, 50)) for t in range(1, 5)
         ]
-        out = extrapolate(history, [20], self.frame)[0]
+        out = extrapolate_pairs(history, [20], self.frame)[0]
         assert out.x_min <= out.x_max

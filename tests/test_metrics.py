@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from tubekit.geometry import BoundingBox, FrameSize
+import tubekit.metrics as metrics
+from tubekit.geometry import BoundingBox, FrameSize, iou
 from tubekit.linking import LinkParams, OnlineLinker
 from tubekit.metrics import (
     AVG_DELTA,
@@ -20,6 +21,8 @@ from tubekit.metrics import (
 from tubekit.prediction import PredictionHorizon
 from tubekit.synth import NoiseModel, lane_dataset
 
+from test_prediction import reference_predict_full_tube
+
 BOX = BoundingBox(0, 0, 10, 10)
 
 
@@ -34,6 +37,50 @@ def box_with_iou(target_iou):
     # shift s gives IoU (10-s)/(10+s)  =>  s = 10(1-v)/(1+v)
     s = 10.0 * (1.0 - target_iou) / (1.0 + target_iou)
     return BoundingBox(s, 0, 10 + s, 10)
+
+
+def reference_tube_iou(a, b):
+    """Scalar tube IoU over dicts, summed in set order: the oracle of the kernel."""
+    a, b = dict(a), dict(b)
+    frames = set(a) | set(b)
+    if not frames:
+        return 0.0
+    total = sum(iou(a[f], b[f]) for f in frames if f in a and f in b)
+    return total / len(frames)
+
+
+def reference_class_ap(detections, gts, deltas):
+    """``_class_ap`` with one scalar tube IoU per (detection, ground truth) pair."""
+    n_gt = sum(len(v) for v in gts.values())
+    if n_gt == 0:
+        return {d: None for d in deltas}
+    detections = [(video_id, score, dict(boxes)) for video_id, score, boxes in detections]
+    gts = {video_id: [dict(g) for g in tubes] for video_id, tubes in gts.items()}
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i][1], i))
+    overlaps = []
+    for i in order:
+        video_id, _, boxes = detections[i]
+        overlaps.append([reference_tube_iou(boxes, g) for g in gts.get(video_id, ())])
+    out = {}
+    for delta in deltas:
+        claimed: dict[str, set[int]] = {}
+        tp = []
+        fp = []
+        for rank, i in enumerate(order):
+            used = claimed.setdefault(detections[i][0], set())
+            best_j, best_ov = -1, 0.0
+            for j, ov in enumerate(overlaps[rank]):
+                if j not in used and ov > best_ov:
+                    best_ov, best_j = ov, j
+            if best_j >= 0 and best_ov >= delta:
+                used.add(best_j)
+                tp.append(1)
+                fp.append(0)
+            else:
+                tp.append(0)
+                fp.append(1)
+        out[delta] = metrics._every_point_ap(tp, fp, n_gt)
+    return out
 
 
 class TestTubeIoU:
@@ -56,6 +103,19 @@ class TestTubeIoU:
 
     def test_both_empty(self):
         assert tube_iou({}, {}) == 0.0
+
+    def test_equals_scalar_reference(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            stride = int(rng.integers(1, 3))
+            tubes = []
+            for _ in range(2):
+                first = int(rng.integers(1, 30))
+                frames = range(first, first + stride * int(rng.integers(0, 20)), stride)
+                lo = rng.uniform(0, 60, size=(len(frames), 2))
+                rows = np.hstack([lo, lo + rng.uniform(0, 40, size=lo.shape)]).tolist()
+                tubes.append({f: BoundingBox(*r) for f, r in zip(frames, rows)})
+            assert tube_iou(*tubes) == reference_tube_iou(*tubes)
 
 
 def oracle_ap(labels, n_gt):
@@ -352,6 +412,43 @@ class TestEvaluateSweep:
         table = report.select(metrics=("c_map",), deltas=(0.5,))
         assert {c.metric for c in table.cells} == {"c_map"}
         assert {c.delta for c in table.cells} == {0.5}
+
+
+REFERENCE_SETS = {
+    "clean": (dict(seed=1, num_videos=6, num_frames=40), {}),
+    "noisy": (dict(seed=1, num_videos=1, num_frames=80, num_actors=8,
+                   noise=NoiseModel(2.0, 2.0, 1.0, 1.0, 0.1)), {}),
+    "stride2_patience2": (dict(seed=5, num_videos=3, num_frames=60, delta=2,
+                               noise=NoiseModel(2.0, 2.0, 0.0, 0.3, 0.6)),
+                          dict(link_params=LinkParams(patience=2))),
+    "horizon_2_5_3": (dict(seed=2, num_videos=4, num_frames=40,
+                           horizon=PredictionHorizon(2, 5, 3),
+                           noise=NoiseModel(1.0, 1.0, 0.0, 0.3, 0.1, 1.0)),
+                      dict(horizon=PredictionHorizon(2, 5, 3))),
+    "aggregate_mean": (dict(seed=1, num_videos=1, num_frames=80, num_actors=8,
+                            noise=NoiseModel(2.0, 2.0, 1.0, 1.0, 0.1)),
+                       dict(aggregate="mean")),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_SETS))
+def test_sweep_equals_scalar_reference(name, monkeypatch):
+    data, options = REFERENCE_SETS[name]
+    manifest, streams = lane_dataset(num_classes=3, **data)
+    kwargs = dict(
+        detections_by_video=streams,
+        video_meta=manifest.video_meta(),
+        gt_tubes=manifest.all_tubes(),
+        num_classes=manifest.num_classes,
+        horizon=PredictionHorizon(0, 5, 3),
+        deltas=(0.2,) + AVG_MAP_GRID,
+        percentages=range(10, 101, 10),
+    )
+    kwargs.update(options)
+    report = evaluate_sweep(**kwargs)
+    monkeypatch.setattr(metrics, "_class_ap", reference_class_ap)
+    monkeypatch.setattr(metrics, "predict_full_tube", reference_predict_full_tube)
+    assert report.cells == evaluate_sweep(**kwargs).cells
 
 
 class TestSweepHandComputed:

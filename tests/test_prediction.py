@@ -1,16 +1,89 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tubekit.geometry import BoundingBox, FrameSize, iou
-from tubekit.linking import ActionTube, MicroTubeDetection, PredictionPayload, build_tubes
+from tubekit.geometry import BoundingBox, FrameSize, clip_box, extrapolate, iou
+from tubekit.linking import (
+    ActionTube,
+    LinkParams,
+    MicroTubeDetection,
+    PredictionPayload,
+    build_tubes,
+)
 from tubekit.prediction import (
+    VELOCITY_WINDOW,
     PredictionHorizon,
     assemble_future,
     early_label,
     predict_full_tube,
 )
+from tubekit.synth import NoiseModel, lane_dataset
 
 FRAME = FrameSize(320, 240)
+
+
+def reference_extrapolate(history, target_frames, frame, window=5):
+    """Scalar constant-velocity extrapolation over ``(frame, box)`` pairs:
+    the oracle of the array kernel ``geometry.extrapolate``."""
+    if len(history) < 2:
+        raise ValueError("insufficient history")
+    frames = [f for f, _ in history]
+    if any(b >= a for a, b in zip(frames[1:], frames)):
+        raise ValueError(f"history frames must be strictly increasing, got {frames}")
+    last_frame, last_box = history[-1]
+    if any(t <= last_frame for t in target_frames):
+        raise ValueError(f"target frames must follow the last history frame {last_frame}")
+
+    recent = history[-min(window, len(history)):]
+    steps = len(recent) - 1
+    velocity = [0.0, 0.0, 0.0, 0.0]
+    for (fa, a), (fb, b) in zip(recent, recent[1:]):
+        gap = fb - fa
+        for k, (va, vb) in enumerate(zip(a.as_tuple(), b.as_tuple())):
+            velocity[k] += (vb - va) / gap
+    velocity = [v / steps for v in velocity]
+
+    out = []
+    for t in target_frames:
+        gap = t - last_frame
+        x0, y0, x1, y1 = (c + v * gap for c, v in zip(last_box.as_tuple(), velocity))
+        if x0 > x1:
+            x0 = x1 = 0.5 * (x0 + x1)
+        if y0 > y1:
+            y0 = y1 = 0.5 * (y0 + y1)
+        out.append(clip_box(BoundingBox(x0, y0, x1, y1), frame))
+    return out
+
+
+def reference_predict_full_tube(tube, now, video_length, horizon, frame, aggregate="latest"):
+    """Frame-by-frame dict completion: the oracle of ``predict_full_tube``."""
+    if now >= video_length:
+        return replace(tube, predicted={})
+    assembled = {
+        f: clip_box(box, frame)
+        for f, box in assemble_future(tube, now, horizon, aggregate).items()
+        if f <= video_length
+    }
+    known = sorted({**tube.detected, **assembled}.items())
+    predicted = dict(assembled)
+    missing = [f for f in range(now + 1, video_length + 1) if f not in assembled]
+    runs: list[list[int]] = []
+    for f in missing:
+        if runs and runs[-1][-1] == f - 1:
+            runs[-1].append(f)
+        else:
+            runs.append([f])
+    for run in runs:
+        history = [(f, b) for f, b in known if f < run[0]][-VELOCITY_WINDOW:]
+        boxes = reference_extrapolate(history, run, frame, window=VELOCITY_WINDOW)
+        predicted.update(zip(run, boxes))
+    return replace(tube, predicted=dict(sorted(predicted.items())))
+
+
+def box_rows(boxes):
+    """``(frame, coordinate reprs)`` rows; unlike ``==`` they tell -0.0 from 0.0."""
+    return [(f, *map(repr, box.as_tuple())) for f, box in boxes.items()]
 
 
 def actor_box(t, vx=2.0, vy=0.0):
@@ -202,6 +275,67 @@ class TestPredictFullTube:
         full = predict_full_tube(tube, f_obs, 40, horizon, FRAME)
         assert sorted(full.detected) == list(range(1, 20, 2))
         assert sorted(full.predicted) == list(range(f_obs + 1, 41))
+
+
+def completion_cases():
+    """(tube, now, T, horizon, aggregate) tuples for the reference comparison."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(40):  # payload runs, both aggregates, both frame edges
+        horizon = PredictionHorizon(0, int(rng.integers(1, 7)), int(rng.integers(0, 4)))
+        now = int(rng.integers(6, 15))
+        tube = linked_tube(now=now, horizon=horizon, vx=float(rng.uniform(-12, 12)))
+        cases.append((tube, now, now + int(rng.integers(1, 40)), horizon,
+                      ("latest", "mean")[int(rng.integers(0, 2))]))
+    # A shrinking box: the extrapolated tail collapses to the crossing midpoint.
+    for horizon in (PredictionHorizon(0, 5, 0), PredictionHorizon(0, 1, 2)):
+        tube = linked_tube(now=10, horizon=horizon,
+                           box_fn=lambda t: BoundingBox(10 + 3 * t, 40, 100 - 3 * t, 120 - 2 * t))
+        cases.append((tube, 10, 40, horizon, "latest"))
+    # Signed zeros on the frame edge, in detected and payload boxes.
+    horizon = PredictionHorizon(0, 2, 3)
+    tube = linked_tube(now=8, horizon=horizon, box_fn=lambda t: BoundingBox(-0.0, -0.0, 50, 60))
+    cases += [(tube, 8, 30, horizon, "latest"), (tube, 8, 30, horizon, "mean")]
+    # Stride-2 noisy tubes closed by patience 2, at three frontiers.
+    horizon = PredictionHorizon(0, 5, 3)
+    noise = NoiseModel(center_sigma=2, size_sigma=2, false_positive_rate=0.3, miss_rate=0.6)
+    manifest, streams = lane_dataset(seed=5, num_videos=2, num_classes=2, num_frames=60,
+                                     noise=noise, horizon=horizon, delta=2)
+    for stream in streams.values():
+        for now in (13, 31, 47):
+            observed = [d for d in stream if d.t + d.delta <= now]
+            for tube in build_tubes(observed, 2, LinkParams(patience=2)):
+                cases.append((tube, now, 60, horizon, "latest"))
+    return cases
+
+
+class TestAgainstScalarReference:
+    def test_extrapolate_kernel(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            frames = sorted(rng.choice(np.arange(1, 30), size=int(rng.integers(2, 9)),
+                                       replace=False).tolist())
+            lo = rng.uniform(-40, 300, size=(len(frames), 2))
+            boxes = np.hstack([lo, lo + rng.uniform(0, 60, size=lo.shape)])
+            boxes[rng.random(boxes.shape) < 0.1] = -0.0
+            boxes[:, 2:] = np.maximum(boxes[:, :2], boxes[:, 2:])
+            targets = sorted(rng.choice(np.arange(frames[-1] + 1, frames[-1] + 40),
+                                        size=int(rng.integers(1, 6)), replace=False).tolist())
+            history = [(f, BoundingBox(*b)) for f, b in zip(frames, boxes.tolist())]
+            got = [BoundingBox(*row) for row in extrapolate(frames, boxes, targets, FRAME).tolist()]
+            want = reference_extrapolate(history, targets, FRAME)
+            assert box_rows(dict(zip(targets, got))) == box_rows(dict(zip(targets, want)))
+
+    def test_completed_tubes(self):
+        collapsed = signed_zero = 0
+        for tube, now, video_length, horizon, aggregate in completion_cases():
+            got = predict_full_tube(tube, now, video_length, horizon, FRAME, aggregate)
+            want = reference_predict_full_tube(tube, now, video_length, horizon, FRAME, aggregate)
+            assert got == want
+            assert box_rows(got.predicted) == box_rows(want.predicted)
+            collapsed += int(np.sum(got.predicted.boxes[:, 0] == got.predicted.boxes[:, 2]))
+            signed_zero += int(np.sum(np.signbit(got.predicted.boxes)))
+        assert collapsed and signed_zero  # the cases reach both rules
 
 
 class TestEarlyLabel:
