@@ -107,9 +107,10 @@ class ActionTube:
         frames = self.detected.frames
         if not len(frames):
             raise ValueError("tube without detected boxes")
-        gaps = np.unique(np.diff(frames))
-        if len(gaps) > 1:
-            raise ValueError(f"detected segment not contiguous, frame gaps {gaps.tolist()}")
+        gaps = np.diff(frames)
+        if len(gaps) and (gaps != gaps[0]).any():
+            raise ValueError(f"detected segment not contiguous, "
+                             f"frame gaps {sorted(set(gaps.tolist()))}")
         if len(self.predicted) and self.predicted.frames[0] <= frames[-1]:
             raise ValueError("predicted frames must all follow the detected segment")
 
