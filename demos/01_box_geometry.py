@@ -12,8 +12,8 @@ from tubekit import (
     encode_offsets,
     extrapolate,
     iou,
-    mean_iou_microtube,
 )
+from tubekit.geometry import pairwise_iou
 
 frame = FrameSize(320, 240)
 
@@ -24,8 +24,12 @@ print("IoU of two half-overlapping 10x10 boxes:", iou(a, b))   # 1/3
 print("IoU of a box with itself:", iou(a, a))                  # 1.0
 print("IoU with a disjoint box:", iou(a, BoundingBox(100, 100, 120, 120)))
 
-# Matching overlaps a single prior against a micro-tube (a box per frame):
-print("mean micro-tube IoU:", mean_iou_microtube(a, [a, b]))   # (1 + 1/3) / 2
+# Array form: every row of one (N, 4) array against every row of another.
+# Matching scores a prior against a micro-tube (a box per frame) by the
+# mean of such a row:
+table = pairwise_iou([a.as_tuple()], [a.as_tuple(), b.as_tuple()])
+print("IoU table:", table.tolist())                            # [[1.0, 1/3]]
+print("mean micro-tube IoU:", table.mean())                    # (1 + 1/3) / 2
 
 # --- Offset encoding -------------------------------------------------------
 # Regression targets are center-size offsets relative to a prior box, the

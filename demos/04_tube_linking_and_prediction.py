@@ -9,6 +9,7 @@ Run with: python3 demos/04_tube_linking_and_prediction.py
 """
 
 from tubekit import (
+    MicroTubeStream,
     PredictionHorizon,
     build_tubes,
     early_label,
@@ -20,13 +21,18 @@ from tubekit.synth import NoiseModel, lane_scenario, generate
 horizon = PredictionHorizon(delta_p=0, delta_f=5, n=3)
 spec = lane_scenario(seed=4, num_actors=2, num_frames=40, class_id=1,
                      noise=NoiseModel(center_sigma=1.0), horizon=horizon)
-entry, stream = generate(spec, num_classes=3, video_id="demo")
+entry, detections = generate(spec, num_classes=3, video_id="demo")
 print(f"scenario: {len(entry.tubes)} actors, {entry.num_frames} frames, "
-      f"{len(stream)} micro-tube detections")
+      f"{len(detections)} micro-tube detections")
+
+# A video's micro-tubes travel as columns, the form read_detections returns:
+stream = MicroTubeStream.of(detections)
+print(f"stream columns: t {stream.t.shape}, pairs {stream.pairs.shape}, "
+      f"scores {stream.scores.shape}, payload future boxes {stream.future.shape}")
 
 # --- Observe only half the video ---------------------------------------------
 now = 20
-observed = [d for d in stream if d.t + d.delta <= now]
+observed = stream.observed(now)   # micro-tubes with t + delta <= now, a prefix
 tubes = build_tubes(observed, num_classes=3)
 print(f"\nobserved up to frame {now}: {len(tubes)} tubes")
 for tube in tubes:

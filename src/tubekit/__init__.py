@@ -27,13 +27,12 @@ from .geometry import (
     encode_offsets,
     extrapolate,
     iou,
-    mean_iou_microtube,
-    paired_mean_iou,
 )
 from .linking import (
     ActionTube,
     LinkParams,
     MicroTubeDetection,
+    MicroTubeStream,
     OnlineLinker,
     PredictionPayload,
     build_tubes,
@@ -83,6 +82,7 @@ __all__ = [
     "LossInputs",
     "MatchAssignment",
     "MicroTubeDetection",
+    "MicroTubeStream",
     "MicroTubeTarget",
     "OffsetCode",
     "OnlineLinker",
@@ -109,9 +109,7 @@ __all__ = [
     "link_step",
     "map_at",
     "match_priors",
-    "mean_iou_microtube",
     "nms",
-    "paired_mean_iou",
     "predict_full_tube",
     "run_grad_check",
     "smooth_l1",

@@ -152,9 +152,9 @@ def match_priors(
 ) -> MatchAssignment:
     """Match ground-truth micro-tubes to prior boxes.
 
-    The overlap of a prior and a ground truth is their mean IoU
-    (:func:`~tubekit.geometry.mean_iou_microtube`), computed for all pairs
-    at once with :func:`~tubekit.geometry.pairwise_iou`. Pass 1 (forced
+    The overlap of a prior and a ground truth is the mean of the prior's
+    IoU with each ground-truth box, computed for all pairs at once with
+    :func:`~tubekit.geometry.pairwise_iou`. Pass 1 (forced
     bipartite): one round per ground truth takes the highest-overlap pair
     among still-free priors and still-unmatched ground truths, so every
     ground truth ends up matched even when all overlaps are below the
@@ -173,8 +173,8 @@ def match_priors(
         empty = (-1,) * n_priors
         return MatchAssignment(empty, empty, (0.0,) * n_priors, ())
 
-    # overlap[i, j] == mean_iou_microtube(priors.boxes[i], gts[j].boxes): the
-    # box columns are summed in order, then divided by the box count.
+    # overlap[i, j] == sum(iou(priors.boxes[i], g) for g in gts[j].boxes) / K:
+    # the box columns are summed in order, then divided by the box count K.
     overlap = np.empty((n_priors, n_gts))
     for j, gt in enumerate(gts):
         ious = pairwise_iou(priors.array, np.array([b.as_tuple() for b in gt.boxes]))

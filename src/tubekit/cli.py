@@ -230,7 +230,7 @@ def _linked_tubes(cfg: RunConfig, manifest, streams, observed_pct: int):
     out = {}
     for video_id, entry in manifest.videos.items():
         f_obs = observed_frames(entry.num_frames, observed_pct)
-        stream = [d for d in streams.get(video_id, []) if d.t + d.delta <= f_obs]
+        stream = streams[video_id].observed(f_obs) if video_id in streams else []
         out[video_id] = (f_obs, build_tubes(stream, manifest.num_classes, cfg.link_params()))
     return out
 

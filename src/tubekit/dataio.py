@@ -9,21 +9,25 @@ Formats (all coordinates are absolute pixels):
   floats: past box slot then n future boxes, or null), ``scores``
   (C+1 non-negative floats summing to 1, background last). ``delta``,
   ``horizon`` and the score count must agree across the whole file;
-  records must be time-ordered within each video. Each line is read
-  straight into a :class:`~tubekit.linking.MicroTubeDetection`. The past
-  slot is always read and checked finite, but it is kept (as
-  ``past_box``) only when ``delta_p > 0``; the writer fills it with the
-  box at t when a detection carries no past box.
+  records must be time-ordered within each video. A file is read into one
+  :class:`~tubekit.linking.MicroTubeStream` of columns per video; the
+  records are checked column by column, and the first bad one is named.
+  The past slot is always read and checked finite, but it is kept (as
+  ``past``) only when ``delta_p > 0``; the writer fills it with the box at
+  t when a detection carries no past box.
 
 * Manifest: one JSON document with ``classes`` (C names; tube class ids
   are indices into it) and ``videos``, each with ``id``, ``frames``,
   ``width``, ``height`` and ``tubes``; a tube has ``class`` and ``boxes``,
-  a list of exactly ``frames`` 4-float rows (row i is frame i+1).
+  a list of exactly ``frames`` 4-float rows (row i is frame i+1), read
+  straight into a :class:`~tubekit.geometry.Segment`.
 
 * Tubes: one JSON document; per video a list of tubes with ``class``,
   ``score`` and ``detected``/``predicted`` lists of
-  ``[frame, x_min, y_min, x_max, y_max]`` rows. Member payloads are not
-  serialized; tubes read back have empty ``members``.
+  ``[frame, x_min, y_min, x_max, y_max]`` rows; frames are integers (an
+  integral float such as ``3.0`` counts) in strictly ascending order.
+  Member payloads are not serialized; tubes read back have empty
+  ``members``.
 
 * Report: CSV with header ``metric,delta,observed_pct,class,value``. The
   delta column holds a threshold, ``avg``, or is empty for threshold-free
@@ -45,12 +49,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .geometry import BoundingBox, FrameSize, Segment
-from .linking import ActionTube, MicroTubeDetection, PredictionPayload
+from .linking import ActionTube, MicroTubeDetection, MicroTubeStream
 from .metrics import AVG_DELTA, EvalReport, GroundTruthTube
 from .prediction import PredictionHorizon
 
@@ -67,7 +72,10 @@ def _as_number_list(value: object, where: str, what: str) -> list[float]:
     # type(), not isinstance(): JSON true/false load as bool, a subclass of int.
     if not isinstance(value, list) or not all(type(v) in (float, int) for v in value):
         _fail(where, f"{what} must be a list of numbers, got {value!r}")
-    return [float(v) for v in value]
+    try:
+        return [float(v) for v in value]
+    except OverflowError:
+        _fail(where, f"{what} holds an integer too large for a float")
 
 
 def _as_int(value: object, where: str, what: str) -> int:
@@ -76,102 +84,212 @@ def _as_int(value: object, where: str, what: str) -> int:
     return value
 
 
-_DETECTION_KEYS = {"video", "t", "delta", "horizon", "microtube", "prediction", "scores"}
+_DETECTION_KEYS = frozenset({"video", "t", "delta", "horizon", "microtube", "prediction", "scores"})
+_NUMBER_TYPES = {float, int}
+_decode = json.JSONDecoder().raw_decode  # json.loads without its whitespace handling
+_INT64_MAX = np.iinfo(np.int64).max  # frame indices and horizons are read into int64 columns
+_BATCH_LINES = 2048  # records parsed at once; their objects take far more memory than columns
 
 
 def read_detections(
     path: str, expected_horizon: PredictionHorizon | None = None
-) -> dict[str, list[MicroTubeDetection]]:
-    """Read a detection stream grouped by video, validated and time-ordered.
+) -> dict[str, MicroTubeStream]:
+    """Read a detection file into one validated, time-ordered stream per video.
 
-    With ``expected_horizon`` given, the first record whose horizon differs
-    from it fails: its payload boxes would be placed on the wrong frames.
+    The records are checked column by column; when any check fails, the
+    file is checked again record by record and the first bad record is
+    reported as ``path:line``. With ``expected_horizon`` given, the first
+    record whose horizon differs from it fails: its payload boxes would be
+    placed on the wrong frames.
     """
     expected = None
     if expected_horizon is not None:
         expected = (expected_horizon.delta_p, expected_horizon.delta_f, expected_horizon.n)
-    streams: dict[str, list[MicroTubeDetection]] = {}
-    reference: tuple[int, tuple[int, ...], int] | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            where = f"{path}:{lineno}"
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                _fail(where, f"invalid JSON ({exc.msg})")
-            if not isinstance(obj, dict):
-                _fail(where, "record must be a JSON object")
-            missing = _DETECTION_KEYS - {"prediction"} - obj.keys()
-            if missing:
-                _fail(where, f"missing keys {sorted(missing)}")
-            unknown = obj.keys() - _DETECTION_KEYS
-            if unknown:
-                _fail(where, f"unknown keys {sorted(unknown)}")
-            video_id = obj["video"]
-            if not isinstance(video_id, str):
-                _fail(where, f"video id must be a string, got {video_id!r}")
-            horizon_raw = obj["horizon"]
-            if not (isinstance(horizon_raw, list) and len(horizon_raw) == 3):
-                _fail(where, f"horizon must be [delta_p, delta_f, n], got {horizon_raw!r}")
-            horizon = tuple(_as_int(v, where, "horizon entry") for v in horizon_raw)
-            if expected is not None and horizon != expected:
-                _fail(where, f"record horizon {horizon} differs from the requested horizon {expected}")
-            t = _as_int(obj["t"], where, "t")
-            if t < 1:
-                _fail(where, f"t must be a frame index >= 1, got {t}")
-            delta = _as_int(obj["delta"], where, "delta")
-            microtube = _as_number_list(obj["microtube"], where, "microtube")
-            prediction = obj.get("prediction")
-            if prediction is not None:
-                prediction = _as_number_list(prediction, where, "prediction")
-            scores = tuple(_as_number_list(obj["scores"], where, "scores"))
-            delta_p, delta_f, n = horizon
-            try:
-                if delta_p < 0 or delta_f < 1 or n < 0:
-                    raise ValueError(f"invalid horizon {horizon}")
-                if len(microtube) != 8:
-                    raise ValueError(f"micro-tube needs 8 coordinates, got {len(microtube)}")
-                if not all(map(math.isfinite, microtube)):
-                    raise ValueError(f"non-finite micro-tube coordinates {microtube}")
-                x1, y1, x2, y2, x3, y3, x4, y4 = microtube
-                if x1 > x2 or y1 > y2 or x3 > x4 or y3 > y4:
-                    raise ValueError(f"inverted micro-tube box in {microtube}")
-                payload = None
-                if prediction is not None:
-                    if len(prediction) != 4 * (1 + n):
-                        raise ValueError(f"prediction needs {4 * (1 + n)} coordinates for n={n}, "
-                                         f"got {len(prediction)}")
-                    # The past slot is checked even when delta_p = 0 leaves it unused.
-                    if not all(map(math.isfinite, prediction)):
-                        raise ValueError(f"non-finite prediction coordinates {prediction}")
-                    payload = PredictionPayload(
-                        future_boxes=tuple(BoundingBox(*prediction[4 * k: 4 * k + 4])
-                                           for k in range(1, n + 1)),
-                        past_box=BoundingBox(*prediction[0:4]) if delta_p > 0 else None,
-                    )
-                det = MicroTubeDetection(
-                    t=t,
-                    delta=delta,
-                    box_t=BoundingBox(x1, y1, x2, y2),
-                    box_t_plus_delta=BoundingBox(x3, y3, x4, y4),
-                    class_scores=scores,
-                    predictions=payload,
-                )
-            except ValueError as exc:
-                _fail(where, str(exc))
-            current = (delta, horizon, len(scores))
-            if reference is None:
-                reference = current
-            elif current != reference:
-                _fail(where, f"record layout {current} differs from first record {reference}")
-            group = streams.setdefault(video_id, [])
-            if group and t < group[-1].t:
-                _fail(where, f"non-monotone t: {t} after {group[-1].t} in video {video_id!r}")
-            group.append(det)
+    try:
+        streams = _read_columns(path, expected)
+    except (json.JSONDecodeError, TypeError, ValueError, OverflowError):
+        streams = None
+    if streams is None:
+        _check_detection_records(path, expected)  # raises at the first bad record
+        raise AssertionError(f"{path}: records that pass one by one fail as columns")
     return streams
+
+
+def _decode_line(line: str) -> object:
+    obj, end = _decode(line)
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return obj
+
+
+def _read_columns(path: str, expected: tuple | None) -> dict[str, MicroTubeStream] | None:
+    """The per-video streams of a detection file, or None when a record
+    fails a check of :func:`_check_detection_records`. Lines are parsed and
+    turned into columns a batch at a time, so the parsed objects of only one
+    batch are alive at once."""
+    parts = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for batch in iter(lambda: list(islice(fh, _BATCH_LINES)), []):
+            records = [_decode_line(line) for line in map(str.strip, batch) if line]
+            if records:
+                part = _batch_columns(records, expected)
+                if part is None:
+                    return None
+                parts.append(part)
+    if not parts:
+        return {}
+    if len({part[0] for part in parts}) != 1:
+        return None
+    (delta, (delta_p, _, n), _), *_ = parts[0]
+    videos = [video_id for part in parts for video_id in part[1]]
+    t, pairs, scores, payload, slots = (np.concatenate([part[k] for part in parts])
+                                        for k in range(2, 7))
+    if not len(slots):  # without payload rows the horizon's n sizes nothing
+        n, slots = 0, np.zeros((0, 1, 4))
+    future = np.zeros((len(t), n, 4))
+    future[payload] = slots[:, 1:]
+    past = None
+    if delta_p > 0:
+        past = np.zeros((len(t), 4))
+        past[payload] = slots[:, 0]
+    rows_by_video: dict[str, list[int]] = {}
+    for i, video_id in enumerate(videos):
+        rows_by_video.setdefault(video_id, []).append(i)
+    streams = {}
+    for video_id, rows in rows_by_video.items():
+        if (np.diff(t[rows]) < 0).any():
+            return None
+        streams[video_id] = MicroTubeStream(
+            t[rows], delta, pairs[rows], scores[rows], payload[rows], future[rows],
+            None if past is None else past[rows])
+    return streams
+
+
+def _batch_columns(records: list, expected: tuple | None) -> tuple | None:
+    """``(layout, videos, t, pairs, scores, payload, slots)`` of parsed
+    records, ``slots`` holding the prediction rows of the records that
+    carry one; None when a record fails a check that needs no other batch."""
+    without_prediction = _DETECTION_KEYS - {"prediction"}
+    if not all(type(r) is dict and r.keys() in (_DETECTION_KEYS, without_prediction)
+               for r in records):
+        return None
+    videos = [r["video"] for r in records]
+    t = [r["t"] for r in records]
+    deltas = [r["delta"] for r in records]
+    horizons = [r["horizon"] for r in records]
+    microtubes = [r["microtube"] for r in records]
+    predictions = [r.get("prediction") for r in records]
+    scores = [r["scores"] for r in records]
+    carried = [p for p in predictions if p is not None]
+    # type(), not isinstance(): JSON true/false load as bool, a subclass of int.
+    if (set(map(type, videos)) != {str} or set(map(type, t)) != {int}
+            or set(map(type, deltas)) != {int}
+            or not all(type(h) is list and len(h) == 3 for h in horizons)
+            or set(map(type, chain.from_iterable(horizons))) != {int}
+            or not all(type(m) is list for m in microtubes + carried + scores)
+            or not set(map(type, chain.from_iterable(microtubes + carried + scores)))
+            <= _NUMBER_TYPES):
+        return None
+    layouts = set(zip(deltas, map(tuple, horizons), map(len, scores)))
+    if len(layouts) != 1:
+        return None
+    ((delta, horizon, width),) = layouts
+    delta_p, delta_f, n = horizon
+    if (delta_p < 0 or delta_f < 1 or n < 0 or delta < 1 or width < 2
+            or max(delta, *horizon) > _INT64_MAX
+            or (expected is not None and horizon != expected)):
+        return None
+    t = np.array(t, dtype=np.int64)
+    pairs = np.array(microtubes, dtype=float).reshape(len(records), 2, 4)
+    slots = np.array(carried, dtype=float).reshape(len(carried), 1 + n, 4)
+    scores = np.array(scores, dtype=float)
+    # Payload slots must be finite even when unused; cumsum adds the scores
+    # in order, as the record check does.
+    if ((t < 1).any() or not np.isfinite(slots).all() or not np.isfinite(pairs).all()
+            or (scores < 0.0).any()
+            or (np.abs(np.cumsum(scores, axis=1)[:, -1] - 1.0) > 1e-6).any()):
+        return None
+    for boxes in (pairs, slots if delta_p > 0 else slots[:, 1:]):
+        if (boxes[..., 0] > boxes[..., 2]).any() or (boxes[..., 1] > boxes[..., 3]).any():
+            return None
+    payload = np.array([p is not None for p in predictions], dtype=bool)
+    return (delta, horizon, width), videos, t, pairs, scores, payload, slots
+
+
+def _check_detection_records(path: str, expected: tuple | None) -> None:
+    """Check a detection file record by record; raise at the first bad one."""
+    reference: tuple[int, tuple[int, ...], int] | None = None
+    last_t: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)]
+    for lineno, line in lines:
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            _fail(where, f"invalid JSON ({exc.msg})")
+        if not isinstance(obj, dict):
+            _fail(where, "record must be a JSON object")
+        missing = _DETECTION_KEYS - {"prediction"} - obj.keys()
+        if missing:
+            _fail(where, f"missing keys {sorted(missing)}")
+        unknown = obj.keys() - _DETECTION_KEYS
+        if unknown:
+            _fail(where, f"unknown keys {sorted(unknown)}")
+        video_id = obj["video"]
+        if not isinstance(video_id, str):
+            _fail(where, f"video id must be a string, got {video_id!r}")
+        horizon_raw = obj["horizon"]
+        if not (isinstance(horizon_raw, list) and len(horizon_raw) == 3):
+            _fail(where, f"horizon must be [delta_p, delta_f, n], got {horizon_raw!r}")
+        horizon = tuple(_as_int(v, where, "horizon entry") for v in horizon_raw)
+        if expected is not None and horizon != expected:
+            _fail(where, f"record horizon {horizon} differs from the requested horizon {expected}")
+        t = _as_int(obj["t"], where, "t")
+        if t < 1:
+            _fail(where, f"t must be a frame index >= 1, got {t}")
+        delta = _as_int(obj["delta"], where, "delta")
+        if max(t, delta, *horizon) > _INT64_MAX:
+            _fail(where, f"t, delta and horizon entries must not exceed {_INT64_MAX}")
+        microtube = _as_number_list(obj["microtube"], where, "microtube")
+        prediction = obj.get("prediction")
+        if prediction is not None:
+            prediction = _as_number_list(prediction, where, "prediction")
+        scores = tuple(_as_number_list(obj["scores"], where, "scores"))
+        delta_p, delta_f, n = horizon
+        try:
+            if delta_p < 0 or delta_f < 1 or n < 0:
+                raise ValueError(f"invalid horizon {horizon}")
+            if len(microtube) != 8:
+                raise ValueError(f"micro-tube needs 8 coordinates, got {len(microtube)}")
+            if not all(map(math.isfinite, microtube)):
+                raise ValueError(f"non-finite micro-tube coordinates {microtube}")
+            x1, y1, x2, y2, x3, y3, x4, y4 = microtube
+            if x1 > x2 or y1 > y2 or x3 > x4 or y3 > y4:
+                raise ValueError(f"inverted micro-tube box in {microtube}")
+            if prediction is not None:
+                if len(prediction) != 4 * (1 + n):
+                    raise ValueError(f"prediction needs {4 * (1 + n)} coordinates for n={n}, "
+                                     f"got {len(prediction)}")
+                # The past slot is checked even when delta_p = 0 leaves it unused.
+                if not all(map(math.isfinite, prediction)):
+                    raise ValueError(f"non-finite prediction coordinates {prediction}")
+                for k in [*range(1, n + 1), *([0] if delta_p > 0 else [])]:
+                    BoundingBox(*prediction[4 * k: 4 * k + 4])
+            MicroTubeDetection(t, delta, BoundingBox(x1, y1, x2, y2), BoundingBox(x3, y3, x4, y4),
+                               scores)
+        except ValueError as exc:
+            _fail(where, str(exc))
+        current = (delta, horizon, len(scores))
+        if reference is None:
+            reference = current
+        elif current != reference:
+            _fail(where, f"record layout {current} differs from first record {reference}")
+        if video_id in last_t and t < last_t[video_id]:
+            _fail(where, f"non-monotone t: {t} after {last_t[video_id]} in video {video_id!r}")
+        last_t[video_id] = t
 
 
 def write_detections(
@@ -210,7 +328,7 @@ def write_detections(
 
 
 def detections_to_streams(
-    streams: Mapping[str, Sequence[MicroTubeDetection]],
+    streams: Mapping[str, MicroTubeStream],
     manifest: DatasetManifest,
     path: str,
 ) -> None:
@@ -222,12 +340,12 @@ def detections_to_streams(
     unknown = streams.keys() - manifest.videos.keys()
     if unknown:
         _fail(path, f"detections for videos missing from the manifest: {sorted(unknown)}")
-    for video_id, dets in streams.items():
-        last = dets[-1]  # streams are time-ordered with one delta per file
+    for video_id, stream in streams.items():
+        last = int(stream.t[-1])  # streams are time-ordered with one delta per file
         num_frames = manifest.videos[video_id].num_frames
-        if last.t + last.delta > num_frames:
-            _fail(path, f"video {video_id!r} has a detection at t={last.t} "
-                        f"with delta={last.delta} past its {num_frames} frames")
+        if last + stream.delta > num_frames:
+            _fail(path, f"video {video_id!r} has a detection at t={last} "
+                        f"with delta={stream.delta} past its {num_frames} frames")
 
 
 @dataclass(frozen=True)
@@ -256,6 +374,28 @@ class DatasetManifest:
 
     def all_tubes(self) -> list[GroundTruthTube]:
         return [t for v in self.videos.values() for t in v.tubes]
+
+
+def _first_bad_box(boxes: np.ndarray) -> int | None:
+    """Index of the first ``(N, 4)`` row that :class:`BoundingBox` rejects."""
+    bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _ground_truth_boxes(rows: list) -> Segment | None:
+    """Frames 1..len(rows) of four-number box rows, or None when a row is
+    not a valid box."""
+    # type(), not isinstance(): JSON true/false load as bool, a subclass of int.
+    if not (all(type(row) is list and len(row) == 4 for row in rows)
+            and set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES):
+        return None
+    try:
+        boxes = np.array(rows, dtype=float).reshape(len(rows), 4)
+    except OverflowError:
+        return None
+    if _first_bad_box(boxes) is not None:
+        return None
+    return Segment(np.arange(1, len(rows) + 1), boxes)
 
 
 def read_manifest(path: str) -> DatasetManifest:
@@ -309,15 +449,16 @@ def read_manifest(path: str) -> DatasetManifest:
             if not isinstance(rows, list) or len(rows) != num_frames:
                 got = len(rows) if isinstance(rows, list) else type(rows).__name__
                 _fail(twhere, f"tube must cover all {num_frames} frames, got {got} rows")
-            boxes = {}
-            for f, row in enumerate(rows, start=1):
-                coords = _as_number_list(row, twhere, f"frame {f} box")
-                if len(coords) != 4:
-                    _fail(twhere, f"frame {f} box needs 4 coordinates, got {len(coords)}")
-                try:
-                    boxes[f] = BoundingBox(*coords)
-                except ValueError as exc:
-                    _fail(twhere, f"frame {f}: {exc}")
+            boxes = _ground_truth_boxes(rows)
+            if boxes is None:  # name the first bad frame
+                for f, row in enumerate(rows, start=1):
+                    coords = _as_number_list(row, twhere, f"frame {f} box")
+                    if len(coords) != 4:
+                        _fail(twhere, f"frame {f} box needs 4 coordinates, got {len(coords)}")
+                    try:
+                        BoundingBox(*coords)
+                    except ValueError as exc:
+                        _fail(twhere, f"frame {f}: {exc}")
             tubes.append(GroundTruthTube(video_id=video_id, class_id=class_id, boxes=boxes))
         videos[video_id] = VideoEntry(video_id, num_frames, frame, tuple(tubes))
     return DatasetManifest(class_names=tuple(classes), videos=videos)
@@ -348,31 +489,65 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
         fh.write("\n")
 
 
-def _frame_rows(segment: Segment) -> list[list[float]]:
-    return np.column_stack((segment.frames, segment.boxes)).tolist()
+def _rows_text(segment: Segment, indent: int) -> str:
+    """``[frame, x_min, y_min, x_max, y_max]`` rows as ``json.dump(indent=1)``
+    writes them at ``indent``; coordinates are finite, so ``repr`` is their
+    JSON form."""
+    if not len(segment):
+        return "[]"
+    item = "\n" + " " * (indent + 2)
+    row = " " * (indent + 1) + "[" + item + ("{!r}," + item) * 4 + "{!r}\n" + " " * (indent + 1) + "]"
+    values = np.column_stack((segment.frames, segment.boxes)).ravel().tolist()
+    return "[\n" + ",\n".join([row] * len(segment)).format(*values) + "\n" + " " * indent + "]"
+
+
+def _json_list(items: list[str], indent: int) -> str:
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
 
 
 def write_tubes(tubes_by_video: Mapping[str, Sequence[ActionTube]], path: str) -> None:
-    obj = {
-        "videos": [
-            {
-                "id": video_id,
-                "tubes": [
-                    {
-                        "class": t.class_id,
-                        "score": t.tube_score,
-                        "detected": _frame_rows(t.detected),
-                        "predicted": _frame_rows(t.predicted),
-                    }
-                    for t in tubes
-                ],
-            }
-            for video_id, tubes in tubes_by_video.items()
-        ],
-    }
+    """Write a tubes document: the bytes ``json.dump(..., indent=1)`` would
+    write, formatted straight from the segment arrays."""
+    videos = []
+    for video_id, tubes in tubes_by_video.items():
+        entries = [
+            f'    {{\n     "class": {json.dumps(t.class_id)},\n     "score": {json.dumps(t.tube_score)},'
+            f'\n     "detected": {_rows_text(t.detected, 5)},'
+            f'\n     "predicted": {_rows_text(t.predicted, 5)}\n    }}'
+            for t in tubes
+        ]
+        videos.append(f'  {{\n   "id": {json.dumps(video_id)},\n   "tubes": {_json_list(entries, 3)}\n  }}')
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{\n "videos": {_json_list(videos, 1)}\n}}\n')
+
+
+def _segment_rows(rows: object, where: str, what: str) -> Segment:
+    """A segment from ``[frame, x_min, y_min, x_max, y_max]`` rows; frames
+    must be integers in strictly ascending order."""
+    if not isinstance(rows, list):
+        _fail(where, f"{what} rows must be a list, got {rows!r}")
+    try:
+        values = np.array(rows, dtype=float).reshape(len(rows), 5)
+    except (TypeError, ValueError, OverflowError) as exc:
+        _fail(where, f"{what} rows must be [frame, x_min, y_min, x_max, y_max] numbers ({exc})")
+    frames = values[:, 0]
+    fractional = np.flatnonzero(frames != np.floor(frames))
+    if len(fractional):
+        _fail(where, f"{what} frame {frames[fractional[0]]:g} is not an integer")
+    back = np.flatnonzero(frames[1:] <= frames[:-1])
+    if len(back):
+        k = back[0]
+        _fail(where, f"{what} frames must ascend without repeats, got {frames[k + 1]:g} "
+                     f"after {frames[k]:g}")
+    bad = _first_bad_box(values[:, 1:])
+    if bad is not None:
+        try:
+            BoundingBox(*values[bad, 1:].tolist())
+        except ValueError as exc:
+            _fail(where, f"{what} frame {frames[bad]:g}: {exc}")
+    return Segment(frames.astype(np.int64), values[:, 1:])
 
 
 def read_tubes(path: str) -> dict[str, list[ActionTube]]:
@@ -396,17 +571,15 @@ def read_tubes(path: str) -> dict[str, list[ActionTube]]:
         for k, raw in enumerate(entry.get("tubes", [])):
             twhere = f"{where} (video {video_id!r} tube {k})"
             try:
-                detected = {int(row[0]): BoundingBox(*row[1:5]) for row in raw["detected"]}
-                predicted = {int(row[0]): BoundingBox(*row[1:5]) for row in raw["predicted"]}
                 tubes.append(ActionTube(
                     class_id=_as_int(raw["class"], twhere, "class"),
                     tube_score=float(raw["score"]),
-                    detected=detected,
-                    predicted=predicted,
+                    detected=_segment_rows(raw["detected"], twhere, "detected"),
+                    predicted=_segment_rows(raw["predicted"], twhere, "predicted"),
                 ))
             except DataFormatError:
                 raise
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 _fail(twhere, str(exc))
         out[video_id] = tubes
     return out

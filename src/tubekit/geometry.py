@@ -162,6 +162,7 @@ class Segment(Mapping[int, BoundingBox]):
     """
 
     __slots__ = ("frames", "boxes")
+    EMPTY: "Segment"  # the segment without frames, shared
 
     def __init__(self, frames: Sequence[int] | np.ndarray, boxes: Sequence | np.ndarray) -> None:
         self.frames = np.asarray(frames, dtype=np.int64)
@@ -174,6 +175,8 @@ class Segment(Mapping[int, BoundingBox]):
         """The segment of a frame -> box mapping; a segment is returned as is."""
         if isinstance(boxes, Segment):
             return boxes
+        if not boxes:
+            return cls.EMPTY
         frames = sorted(boxes)
         return cls(frames, [boxes[f].as_tuple() for f in frames])
 
@@ -199,28 +202,7 @@ class Segment(Mapping[int, BoundingBox]):
         return f"Segment(frames={self.frames.tolist()}, boxes={self.boxes.tolist()})"
 
 
-def mean_iou_microtube(prior: BoundingBox, gt_boxes: Sequence[BoundingBox]) -> float:
-    """Arithmetic mean of ``iou(prior, g)`` over the boxes of one micro-tube.
-
-    This is the overlap used to match a single prior box against a
-    ground-truth micro-tube (a box per involved frame).
-    """
-    if not gt_boxes:
-        raise ValueError("empty micro-tube")
-    return sum(iou(prior, g) for g in gt_boxes) / len(gt_boxes)
-
-
-def paired_mean_iou(boxes_a: Sequence[BoundingBox], boxes_b: Sequence[BoundingBox]) -> float:
-    """Mean of frame-aligned IoUs between two equal-length box sequences.
-
-    Used as the overlap between two micro-tubes (box at t with box at t,
-    box at t+delta with box at t+delta).
-    """
-    if len(boxes_a) != len(boxes_b):
-        raise ValueError(f"length mismatch: {len(boxes_a)} vs {len(boxes_b)}")
-    if not boxes_a:
-        raise ValueError("empty micro-tube")
-    return sum(iou(a, b) for a, b in zip(boxes_a, boxes_b)) / len(boxes_a)
+Segment.EMPTY = Segment([], [])
 
 
 def encode_offsets(

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .geometry import BoundingBox, FrameSize, Segment, box_iou
-from .linking import ActionTube, LinkParams, MicroTubeDetection, OnlineLinker
+from .linking import ActionTube, LinkParams, MicroTubeDetection, MicroTubeStream, OnlineLinker
 from .prediction import PredictionHorizon, early_label, predict_full_tube
 
 AVG_DELTA = "avg"
@@ -281,9 +280,11 @@ def evaluate_sweep(
 ) -> EvalReport:
     """Run the full protocol over a grid of observation percentages.
 
-    Linking is one causal pass per video, snapshotted at each frontier:
-    for percentage q the video's :class:`OnlineLinker` is pushed the
-    micro-tubes fully inside the observed prefix that it has not seen yet,
+    ``detections_by_video`` holds a :class:`MicroTubeStream` or any
+    detection sequence per video. Linking is one causal pass per video,
+    snapshotted at each frontier: for percentage q the video's
+    :class:`OnlineLinker` is pushed, as one chunk, the micro-tubes fully
+    inside the observed prefix that it has not seen yet,
     and its snapshot is completed to the video end. Label accuracy, online
     mAP (against ground truth truncated to the observed prefix), p-mAP
     (future segments only) and c-mAP (full tubes) are then aggregated per
@@ -351,21 +352,19 @@ def evaluate_sweep(
                     per_class.append((c, sum(vals) / len(vals)))
             report.cells.append(EvalCell(metric, AVG_DELTA, q, mean, tuple(per_class)))
 
+    streams = {video_id: MicroTubeStream.of(detections_by_video.get(video_id, ()))
+               for video_id in video_meta}
     linkers = {video_id: OnlineLinker(num_classes, link_params) for video_id in video_meta}
     pushed = dict.fromkeys(video_meta, 0)
     for q in percentages:
         full_tubes: dict[str, tuple[int, list[ActionTube]]] = {}
         for video_id, (num_frames, frame) in video_meta.items():
             f_obs = observed_frames(num_frames, q)
-            stream = [
-                d for d in detections_by_video.get(video_id, [])
-                if d.t + d.delta <= f_obs
-            ]
+            observed = streams[video_id].observed(f_obs)
             linker = linkers[video_id]
             # Percentages ascend, so each observed stream extends the last one.
-            for _, step in groupby(stream[pushed[video_id]:], key=lambda d: d.t):
-                linker.push(list(step))
-            pushed[video_id] = len(stream)
+            linker.push(observed[pushed[video_id]:])
+            pushed[video_id] = len(observed)
             completed = [
                 predict_full_tube(t, f_obs, num_frames, horizon, frame, aggregate)
                 for t in linker.snapshot()

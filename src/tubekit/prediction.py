@@ -2,11 +2,11 @@
 
 A tube observed up to frame t carries, through its member micro-tubes,
 regressed future boxes reaching at most ``t - delta + n * delta_f``. This
-module copies those payload boxes into the future segment (latest member
-wins on conflicts), then fills every remaining frame up to the video end
-by constant-velocity extrapolation of the already-built sequence. The
-completed segment is built as arrays; each run of frames without payload
-is extrapolated in one call.
+module gathers those payload boxes from the members' columns into the
+future segment (latest member wins on conflicts), then fills every
+remaining frame up to the video end by constant-velocity extrapolation of
+the already-built sequence. The completed segment is built as arrays;
+each run of frames without payload is extrapolated in one call.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import BoundingBox, FrameSize, Segment, clip_boxes, extrapolate
+from .geometry import FrameSize, Segment, clip_boxes, extrapolate
 from .linking import ActionTube
 
 VELOCITY_WINDOW = 5
@@ -43,50 +43,52 @@ def assemble_future(
     now: int,
     horizon: PredictionHorizon,
     aggregate: str = "latest",
-) -> dict[int, BoundingBox]:
-    """Collect payload future boxes of a tube's members into a frame map.
+) -> Segment:
+    """Collect payload future boxes of a tube's members into a segment.
 
     Covers frames in ``(now, last_member_t + n * delta_f]``. When several
     members predict the same frame the most recent member wins
     (``aggregate="latest"``, it is conditioned on the newest input);
-    ``aggregate="mean"`` averages the candidates coordinate-wise instead.
-    Frames no payload covers are left absent for extrapolation.
+    ``aggregate="mean"`` averages the candidates coordinate-wise instead,
+    summing them in member order. Frames no payload covers are left absent
+    for extrapolation.
     """
     if aggregate not in ("latest", "mean"):
         raise ValueError(f"unknown aggregate mode {aggregate!r}")
-    if not tube.members:
+    members = tube.members
+    if not len(members):
         raise ValueError("tube has no member micro-tubes")
-    if horizon.n == 0:
-        return {}
+    if horizon.n == 0 or not members.payload.any():
+        return Segment.EMPTY
+    if members.future.shape[1] != horizon.n:
+        raise ValueError(f"payload carries {members.future.shape[1]} future boxes, "
+                         f"horizon says {horizon.n}")
+    reach = horizon.n * horizon.delta_f
+    range_end = int(members.t[-1]) + reach
+    if range_end <= now:
+        return Segment.EMPTY
 
-    range_end = tube.members[-1].t + horizon.n * horizon.delta_f
-    collected: dict[int, list[BoundingBox]] = {}
-    for member in tube.members:
-        payload = member.predictions
-        if payload is None:
-            continue
-        if len(payload.future_boxes) != horizon.n:
-            raise ValueError(
-                f"payload carries {len(payload.future_boxes)} future boxes, horizon says {horizon.n}"
-            )
-        for k, box in enumerate(payload.future_boxes, start=1):
-            f = member.t + k * horizon.delta_f
-            if now < f <= range_end:
-                collected.setdefault(f, []).append(box)
-
-    out: dict[int, BoundingBox] = {}
-    for f in sorted(collected):
-        boxes = collected[f]
-        if aggregate == "latest":
-            out[f] = boxes[-1]
-        else:
-            out[f] = BoundingBox(
-                sum(b.x_min for b in boxes) / len(boxes),
-                sum(b.y_min for b in boxes) / len(boxes),
-                sum(b.x_max for b in boxes) / len(boxes),
-                sum(b.y_max for b in boxes) / len(boxes),
-            )
-    return out
+    # Only members after now - reach predict frames after now.
+    recent = members[int(np.searchsorted(members.t, now - reach, side="right")):]
+    frames = recent.t[:, None] + horizon.delta_f * np.arange(1, horizon.n + 1)
+    covered = recent.payload[:, None] & (frames > now)
+    # Candidates in member order, then grouped by frame with that order kept.
+    frames, boxes = frames[covered], recent.future[covered]
+    if not len(frames):
+        return Segment.EMPTY
+    order = np.argsort(frames, kind="stable")
+    frames, boxes = frames[order], boxes[order]
+    last = np.append(frames[1:] != frames[:-1], True)
+    if aggregate == "latest":
+        return Segment(frames[last], boxes[last])
+    first = np.append(True, frames[1:] != frames[:-1])
+    group = np.cumsum(first) - 1
+    rank = np.arange(len(frames)) - np.flatnonzero(first)[group]
+    sums = np.zeros((group[-1] + 1, 4))
+    for r in range(rank.max() + 1):  # sequential adds, one candidate per frame at a time
+        at = rank == r
+        sums[group[at]] += boxes[at]
+    return Segment(frames[last], sums / np.bincount(group)[:, None])
 
 
 def predict_full_tube(
@@ -116,10 +118,10 @@ def predict_full_tube(
         return replace(tube, predicted={})
 
     payload = assemble_future(tube, now, horizon, aggregate)
-    payload_frames = [f for f in payload if f <= video_length]  # ascending
-    assembled = clip_boxes(
-        np.array([payload[f].as_tuple() for f in payload_frames]).reshape(-1, 4), frame)
-    at = np.array(payload_frames, dtype=np.int64)
+    if len(payload) and payload.frames[-1] > video_length:
+        payload = payload.between(now + 1, video_length)
+    assembled = clip_boxes(payload.boxes, frame)
+    at = payload.frames
     known_frames = np.concatenate((tube.detected.frames, at))
     known_boxes = np.concatenate((tube.detected.boxes, assembled))
 
@@ -129,7 +131,7 @@ def predict_full_tube(
     # extrapolated from the last known boxes before the run; known[:k] are
     # the detected boxes plus the payload boxes preceding that frame.
     start = now + 1
-    for k, stop in enumerate(payload_frames + [video_length + 1], start=len(tube.detected)):
+    for k, stop in enumerate(at.tolist() + [video_length + 1], start=len(tube.detected)):
         if stop > start:
             history = slice(max(0, k - VELOCITY_WINDOW), k)
             boxes[start - now - 1: stop - now - 1] = extrapolate(

@@ -17,8 +17,6 @@ from tubekit.geometry import (
     decode_offsets,
     encode_offsets,
     iou,
-    mean_iou_microtube,
-    paired_mean_iou,
 )
 from tubekit.linking import LinkParams, nms
 from tubekit.losses import run_grad_check, total_loss
@@ -26,6 +24,8 @@ from tubekit.metrics import average_precision, evaluate_sweep
 from tubekit.prediction import PredictionHorizon
 from tubekit.synth import NoiseModel, lane_dataset
 
+from test_anchors import mean_iou_microtube
+from test_linking import pair_overlaps, paired_mean_iou
 from test_losses import make_inputs
 from test_metrics import BOX, box_with_iou, oracle_ap, oracle_labels
 
@@ -166,7 +166,7 @@ def test_criterion_4_nms_oracle():
             b = a.translated(*rng.uniform(-5, 5, size=2))
             pairs.append((a, b))
         scores = list(rng.uniform(0.0, 1.0, n))
-        assert set(nms(pairs, scores, 0.45)) == set(brute_force(pairs, scores, 0.45))
+        assert set(nms(pair_overlaps(pairs), scores, 0.45)) == set(brute_force(pairs, scores, 0.45))
     report_pass(4, "nms oracle, 500 instances")
 
 

@@ -10,7 +10,18 @@ from tubekit.anchors import (
     generate_priors,
     match_priors,
 )
-from tubekit.geometry import BoundingBox, FrameSize, mean_iou_microtube
+from tubekit.geometry import BoundingBox, FrameSize, iou
+
+
+def mean_iou_microtube(prior: BoundingBox, gt_boxes) -> float:
+    """Arithmetic mean of ``iou(prior, g)`` over the boxes of one micro-tube.
+
+    The overlap of a single prior with a ground-truth micro-tube (a box per
+    involved frame): the scalar oracle of the overlaps in ``match_priors``.
+    """
+    if not gt_boxes:
+        raise ValueError("empty micro-tube")
+    return sum(iou(prior, g) for g in gt_boxes) / len(gt_boxes)
 
 
 def random_box(rng, extent=100.0, min_side=8.0, max_side=50.0):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from tubekit.dataio import (
     write_report,
     write_tubes,
 )
-from tubekit.geometry import BoundingBox, FrameSize
-from tubekit.linking import ActionTube, MicroTubeDetection, PredictionPayload
+from tubekit.geometry import BoundingBox, FrameSize, Segment
+from tubekit.linking import ActionTube, MicroTubeDetection, MicroTubeStream, PredictionPayload
 from tubekit.metrics import GroundTruthTube
 from tubekit.prediction import PredictionHorizon
 from tubekit.synth import NoiseModel, lane_dataset
@@ -64,6 +65,15 @@ class TestDetectionRecords:
         write_detections(streams, PredictionHorizon(0, 5, 2), path)
         assert read_detections(path) == streams
 
+    def test_records_without_payload_roundtrip(self, tmp_path):
+        path = str(tmp_path / "d.jsonl")
+        bare = replace(sample_detection(2), predictions=None)
+        streams = {"v0": [sample_detection(1), bare, sample_detection(3)], "v1": [bare]}
+        write_detections(streams, PredictionHorizon(0, 5, 2), path)
+        back = read_detections(path)
+        assert back == streams
+        assert back["v0"].payload.tolist() == [True, False, True]
+
     @pytest.mark.parametrize("horizon", [(0, 5, 3), (2, 5, 3)], ids=["0,5,3", "2,5,3"])
     def test_synth_stream_roundtrips_through_file(self, tmp_path, horizon):
         horizon = PredictionHorizon(*horizon)
@@ -105,11 +115,26 @@ class TestDetectionRecords:
              "inverted box"),
             ({"scores": [1.2, -0.2, 0.0, 0.0]}, "negative class score"),
             ({"t": -1}, "t must be a frame index >= 1, got -1"),
+            ({"t": 2**63}, "must not exceed 9223372036854775807"),
+            ({"horizon": [0, 5, 2**70]}, "must not exceed 9223372036854775807"),
+            ({"delta": 2**70}, "must not exceed 9223372036854775807"),
+            ({"horizon": [2**70, 5, 2], "prediction": None}, "must not exceed 9223372036854775807"),
+            ({"microtube": microtube[:2] + [10**400] + microtube[3:]},
+             "microtube holds an integer too large for a float"),
         ]
         for change, message in cases:
             path.write_text(json.dumps({**good, **change}) + "\n")
             with pytest.raises(DataFormatError, match=rf"bad\.jsonl:1: .*{message}"):
                 read_detections(str(path))
+
+    def test_horizon_without_payloads_sizes_nothing(self, tmp_path):
+        # No record carries the n future boxes, so none may be allocated.
+        path = tmp_path / "huge_n.jsonl"
+        good = sample_line(tmp_path)
+        path.write_text(json.dumps({**good, "horizon": [0, 5, 10**12], "prediction": None}) + "\n")
+        (stream,) = read_detections(str(path)).values()
+        assert len(stream) == 1 and not stream.payload.any()
+        assert stream.future.size == 0
 
     def test_score_sum_violation(self, tmp_path):
         path = tmp_path / "scores.jsonl"
@@ -130,6 +155,32 @@ class TestDetectionRecords:
         path.write_text('{"video": "v"\n')
         with pytest.raises(DataFormatError, match=r"broken\.jsonl:1"):
             read_detections(str(path))
+
+    def test_first_bad_record_named(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = sample_line(tmp_path)
+        nan_tube = {**good, "microtube": [float("nan")] + good["microtube"][1:]}
+        lines = [json.dumps(good), json.dumps(nan_tube), '{"video": "v0"', json.dumps({"t": 1})]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=r"bad\.jsonl:2: non-finite micro-tube"):
+            read_detections(str(path))
+        path.write_text("\n".join([lines[0], "", lines[2], lines[1]]) + "\n")
+        with pytest.raises(DataFormatError, match=r"bad\.jsonl:3: invalid JSON"):
+            read_detections(str(path))
+        path.write_text("\n".join([lines[0], lines[3], lines[1]]) + "\n")
+        with pytest.raises(DataFormatError, match=r"bad\.jsonl:2: missing keys"):
+            read_detections(str(path))
+
+    def test_streams_are_columns(self, tmp_path):
+        path = str(tmp_path / "d.jsonl")
+        dets = [sample_detection(t, n=3) for t in (1, 2, 3)]
+        write_detections({"v0": dets}, PredictionHorizon(0, 5, 3), path)
+        stream = read_detections(path)["v0"]
+        assert isinstance(stream, MicroTubeStream)
+        assert stream.t.tolist() == [1, 2, 3]
+        assert stream.pairs.shape == (3, 2, 4) and stream.future.shape == (3, 3, 4)
+        assert stream.scores.tolist() == [list(d.class_scores) for d in dets]
+        assert stream.past is None and stream.payload.all()
 
     def test_layout_consistency_enforced(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
@@ -193,6 +244,33 @@ class TestManifest:
         with pytest.raises(DataFormatError, match="cover all 3 frames"):
             read_manifest(str(path))
 
+    def test_ground_truth_read_as_segment(self, tmp_path):
+        path = str(tmp_path / "m.json")
+        write_manifest(sample_manifest(num_frames=3), path)
+        boxes = read_manifest(path).videos["v0"].tubes[0].boxes
+        assert isinstance(boxes, Segment)
+        assert boxes.frames.tolist() == [1, 2, 3]
+        assert boxes.boxes.tolist() == [[1.0, 2.0, 30.0, 40.0]] * 3
+
+    @pytest.mark.parametrize("row, message", [
+        ([5, 0, 0, 5], r"tube 0: frame 2: inverted box"),
+        ([0, 5, 5, 0], r"tube 0: frame 2: inverted box"),
+        ([0, 0, float("nan"), 5], r"tube 0: frame 2: non-finite box coordinates"),
+        ([0, 0, True, 5], r"tube 0: frame 2 box must be a list of numbers"),
+        ([0, 0, 5], r"tube 0: frame 2 box needs 4 coordinates, got 3"),
+        ([0, 0, 10**400, 5], r"tube 0: frame 2 box holds an integer too large for a float"),
+    ], ids=["inverted_x", "inverted_y", "nan", "bool", "short", "huge"])
+    def test_bad_ground_truth_box_names_frame(self, tmp_path, row, message):
+        path = tmp_path / "m.json"
+        rows = [[0, 0, 5, 5], row, [0, 0, True, 5]]
+        path.write_text(json.dumps({
+            "classes": ["a"],
+            "videos": [{"id": "v", "frames": 3, "width": 10, "height": 10,
+                        "tubes": [{"class": 0, "boxes": rows}]}],
+        }))
+        with pytest.raises(DataFormatError, match=message):
+            read_manifest(str(path))
+
     def test_generated_dataset_roundtrips(self, tmp_path):
         manifest, _ = lane_dataset(seed=2, num_videos=3, num_classes=2)
         path = str(tmp_path / "gen.json")
@@ -214,11 +292,39 @@ class TestTubesDocument:
         assert back["v"][0].tube_score == tube.tube_score
         assert back["v"][0].members == ()
 
+    @pytest.mark.parametrize("frames, message", [
+        ([1.5, 2, 2], r"detected frame 1\.5 is not an integer"),
+        ([1, 2, 2], r"detected frames must ascend without repeats, got 2 after 2"),
+        ([2, 1, 3], r"detected frames must ascend without repeats, got 1 after 2"),
+    ], ids=["fractional", "duplicate", "descending"])
+    def test_bad_frame_numbers_rejected(self, tmp_path, frames, message):
+        path = tmp_path / "t.json"
+        rows = [[f, 0.0, 0.0, 10.0 + k, 10.0] for k, f in enumerate(frames)]
+        tube = {"class": 0, "score": 0.5, "detected": rows, "predicted": []}
+        path.write_text(json.dumps({"videos": [{"id": "v", "tubes": [tube]}]}))
+        with pytest.raises(DataFormatError, match=rf"t\.json \(video 'v' tube 0\): {message}"):
+            read_tubes(str(path))
+
+    def test_integral_float_frames_accepted(self, tmp_path):
+        path = tmp_path / "t.json"
+        tube = {"class": 0, "score": 0.5, "detected": [[1.0, 0, 0, 1, 1], [2, 0, 0, 1, 1]],
+                "predicted": [[3.0, 0, 0, 1, 1]]}
+        path.write_text(json.dumps({"videos": [{"id": "v", "tubes": [tube]}]}))
+        back = read_tubes(str(path))["v"][0]
+        assert back.detected.frames.tolist() == [1, 2]
+        assert back.predicted.frames.tolist() == [3]
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"videos": [{"id": "v", "tubes": [{"class": 0}]}]}))
         with pytest.raises(DataFormatError):
             read_tubes(str(path))
+        rows = [[1, 0, 0, 10**400, 1]]
+        for tube in ({"class": 0, "score": 0.5, "detected": rows, "predicted": []},
+                     {"class": 0, "score": 10**400, "detected": rows[:0], "predicted": []}):
+            path.write_text(json.dumps({"videos": [{"id": "v", "tubes": [tube]}]}))
+            with pytest.raises(DataFormatError, match=r"\(video 'v' tube 0\)"):
+                read_tubes(str(path))
 
 
 class TestReport:

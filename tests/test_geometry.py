@@ -14,10 +14,11 @@ from tubekit.geometry import (
     encode_offsets,
     extrapolate,
     iou,
-    mean_iou_microtube,
-    paired_mean_iou,
     pairwise_iou,
 )
+
+from test_anchors import mean_iou_microtube
+from test_linking import paired_mean_iou
 
 
 def random_box(rng, lo=0.0, hi=100.0, min_side=10.0, max_side=60.0):

@@ -296,6 +296,9 @@ def completion_cases():
     horizon = PredictionHorizon(0, 2, 3)
     tube = linked_tube(now=8, horizon=horizon, box_fn=lambda t: BoundingBox(-0.0, -0.0, 50, 60))
     cases += [(tube, 8, 30, horizon, "latest"), (tube, 8, 30, horizon, "mean")]
+    # Members without payloads under a horizon with future boxes.
+    tube = linked_tube(now=10, horizon=PredictionHorizon(0, 5, 0))
+    cases.append((tube, 10, 30, PredictionHorizon(0, 5, 3), "mean"))
     # Stride-2 noisy tubes closed by patience 2, at three frontiers.
     horizon = PredictionHorizon(0, 5, 3)
     noise = NoiseModel(center_sigma=2, size_sigma=2, false_positive_rate=0.3, miss_rate=0.6)
