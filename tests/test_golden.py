@@ -25,6 +25,13 @@ SETS = {
     "crowded": ["--seed", "3", "--videos", "2", "--frames", "50", "--actors", "6",
                 "--classes", "3", "--center-sigma", "2", "--size-sigma", "2",
                 "--fp-rate", "1", "--miss-rate", "0.1"],
+    # No payload at all: every record carries "prediction": null.
+    "no_payload": ["--seed", "7", "--videos", "3", "--frames", "30", "--actors", "2",
+                   "--classes", "2", "--horizon", "0,5,0", "--center-sigma", "1"],
+    # A past box and no future boxes; false positives carry the past slot too.
+    "past_only": ["--seed", "9", "--videos", "3", "--frames", "30", "--actors", "2",
+                  "--classes", "2", "--horizon", "3,5,0", "--fp-rate", "0.5",
+                  "--center-sigma", "1"],
 }
 
 RUNS = {
@@ -47,6 +54,16 @@ RUNS = {
         "predict": ["predict", "--observed-pct", "50"],
         "eval": ["eval", "--pct-list", "30,60,100"],
         "sweep": ["sweep"],
+    },
+    "no_payload": {
+        "link": ["link"],
+        "predict": ["predict", "--horizon", "0,5,0", "--observed-pct", "40"],
+        "sweep": ["sweep", "--horizon", "0,5,0"],
+    },
+    "past_only": {
+        "link": ["link"],
+        "predict": ["predict", "--horizon", "3,5,0", "--observed-pct", "40"],
+        "sweep": ["sweep", "--horizon", "3,5,0"],
     },
 }
 
@@ -75,6 +92,20 @@ DIGESTS = {
         "predict": "47b6a4083cc78a9d39525f4f97fb05fd8a9b6435f076e7a9b4e5e7d177fd34d6",
         "eval": "64c73cacf1b3ee905b7be413eefcd5aa297a8411c7b51cc08823fb0ed9386ae2",
         "sweep": "cf2bce1b480ec04f93f9118cdf5d53edb245ca0a83f1f739420de44fccad8965",
+    },
+    "no_payload": {
+        "manifest": "5df19f4fe564a4536036917c58791ce4fd0c23f45dd3aff09c7957bfafe9e272",
+        "detections": "e17187a1ee5d4a2f89e597df9a63b5337c97968c7938d94c79260a8acb8e3f9b",
+        "link": "f36f71d4ec2ada9c4062ca82653a06bd9c87cc2df5fde35b11a027937d6092ae",
+        "predict": "d4261f25fb314ce70a568a2fe9e656b5d6c480622b4f841e0b586ee694c52e8a",
+        "sweep": "772fa0a0b91eb71565a27d46ce4bf87fe539ed62c791fbdad7f764c596c54461",
+    },
+    "past_only": {
+        "manifest": "808244e8a5e28d2a4da67c32472a7fce735b665f73dcea07d8f2eb9cf8dcb54d",
+        "detections": "8f462fd1b72f2daf9c4044bc4b16bcf7e9a089163f3dea31dacfdf910687fbe3",
+        "link": "ac500e58dfe544c827a36a913b23642691212d03035af607918511482081d596",
+        "predict": "45fd567e60a98adf79989fc3d1bfde18f4885e664ec6c9798248eccb3ca5bb3f",
+        "sweep": "b35ca1ddda38c33b01789489c7c38257b7ab878fd1d9f0ed0c26edfec5c7c95c",
     },
 }
 
