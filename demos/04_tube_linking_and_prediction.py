@@ -9,7 +9,6 @@ Run with: python3 demos/04_tube_linking_and_prediction.py
 """
 
 from tubekit import (
-    MicroTubeStream,
     PredictionHorizon,
     build_tubes,
     early_label,
@@ -21,12 +20,11 @@ from tubekit.synth import NoiseModel, lane_scenario, generate
 horizon = PredictionHorizon(delta_p=0, delta_f=5, n=3)
 spec = lane_scenario(seed=4, num_actors=2, num_frames=40, class_id=1,
                      noise=NoiseModel(center_sigma=1.0), horizon=horizon)
-entry, detections = generate(spec, num_classes=3, video_id="demo")
+entry, stream = generate(spec, num_classes=3, video_id="demo")
 print(f"scenario: {len(entry.tubes)} actors, {entry.num_frames} frames, "
-      f"{len(detections)} micro-tube detections")
+      f"{len(stream)} micro-tube detections")
 
 # A video's micro-tubes travel as columns, the form read_detections returns:
-stream = MicroTubeStream.of(detections)
 print(f"stream columns: t {stream.t.shape}, pairs {stream.pairs.shape}, "
       f"scores {stream.scores.shape}, payload future boxes {stream.future.shape}")
 

@@ -20,7 +20,6 @@ from .anchors import (
 from .geometry import (
     BoundingBox,
     FrameSize,
-    OffsetCode,
     Segment,
     clip_box,
     decode_offsets,
@@ -31,16 +30,13 @@ from .geometry import (
 from .linking import (
     ActionTube,
     LinkParams,
-    MicroTubeDetection,
     MicroTubeStream,
     OnlineLinker,
-    PredictionPayload,
     build_tubes,
     link_step,
     nms,
 )
 from .losses import (
-    GradCheckReport,
     LossBreakdown,
     LossInputs,
     grad_check,
@@ -51,13 +47,9 @@ from .losses import (
     total_loss,
 )
 from .metrics import (
-    EvalCell,
     EvalReport,
     GroundTruthTube,
-    average_precision,
-    avg_map,
     evaluate_sweep,
-    map_at,
     tube_iou,
 )
 from .prediction import (
@@ -72,28 +64,21 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionTube",
     "BoundingBox",
-    "EvalCell",
     "EvalReport",
     "FrameSize",
-    "GradCheckReport",
     "GroundTruthTube",
     "LinkParams",
     "LossBreakdown",
     "LossInputs",
     "MatchAssignment",
-    "MicroTubeDetection",
     "MicroTubeStream",
     "MicroTubeTarget",
-    "OffsetCode",
     "OnlineLinker",
     "PredictionHorizon",
-    "PredictionPayload",
     "PriorBoxSet",
     "PriorBoxSpec",
     "Segment",
     "assemble_future",
-    "average_precision",
-    "avg_map",
     "build_tubes",
     "clip_box",
     "decode_offsets",
@@ -107,7 +92,6 @@ __all__ = [
     "hard_negative_mining",
     "iou",
     "link_step",
-    "map_at",
     "match_priors",
     "nms",
     "predict_full_tube",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 from . import dataio, synth
 from .geometry import FrameSize
-from .linking import LinkParams, build_tubes
+from .linking import LinkParams, MicroTubeStream, build_tubes
 from .losses import run_grad_check
 from .metrics import AVG_DELTA, evaluate_sweep
 from .prediction import PredictionHorizon, predict_full_tube
@@ -198,12 +198,10 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     known = {f.name for f in fields(RunConfig)}
     if getattr(args, "config", None):
         for key, value in dataio.read_config(args.config).items():
-            if key == "horizon":
-                value = tuple(int(v) for v in value)
-            elif key == "delta_list":
+            if key == "delta_list":
                 value = tuple(float(v) for v in value)
-            elif key == "pct_list":
-                value = tuple(int(v) for v in value)
+            elif isinstance(value, list):  # horizon and pct_list hold checked ints
+                value = tuple(value)
             setattr(cfg, key, value)
     for key, value in vars(args).items():
         if key in known and value is not None:
@@ -230,7 +228,7 @@ def _linked_tubes(cfg: RunConfig, manifest, streams, observed_pct: int):
     out = {}
     for video_id, entry in manifest.videos.items():
         f_obs = observed_frames(entry.num_frames, observed_pct)
-        stream = streams[video_id].observed(f_obs) if video_id in streams else []
+        stream = streams.get(video_id, MicroTubeStream.EMPTY).observed(f_obs)
         out[video_id] = (f_obs, build_tubes(stream, manifest.num_classes, cfg.link_params()))
     return out
 
@@ -325,8 +323,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     """Emit the canonical sweep table: 4 metric kinds, figure thresholds,
     percentages 10 to 100."""
     _require(cfg, "detections", "manifest", "out")
-    deltas = sorted(set(DEFAULT_DELTA_LIST) | {0.2, 0.5, 0.75})
-    report = _run_eval(cfg, deltas, DEFAULT_PCT_LIST)
+    report = _run_eval(cfg, DEFAULT_DELTA_LIST, DEFAULT_PCT_LIST)
     table = report.select(metrics=SWEEP_METRICS, deltas=SWEEP_DELTAS)
     dataio.write_report(table, cfg.out, cfg.tag)
     print(f"wrote {cfg.out} ({len(table.cells)} cells)")

@@ -13,8 +13,9 @@ Formats (all coordinates are absolute pixels):
   :class:`~tubekit.linking.MicroTubeStream` of columns per video; the
   records are checked column by column, and the first bad one is named.
   The past slot is always read and checked finite, but it is kept (as
-  ``past``) only when ``delta_p > 0``; the writer fills it with the box at
-  t when a detection carries no past box.
+  ``past``) only when ``delta_p > 0``. The writer formats the records from
+  the same columns and fills the past slot with the box at t when a stream
+  has no ``past`` column.
 
 * Manifest: one JSON document with ``classes`` (C names; tube class ids
   are indices into it) and ``videos``, each with ``id``, ``frames``,
@@ -37,7 +38,8 @@ Formats (all coordinates are absolute pixels):
   mean row last. An optional trailing ``tag`` column labels the run.
 
 * Config: one JSON object whose keys mirror the CLI flag names; unknown
-  keys are rejected.
+  keys are rejected. ``horizon`` is three integers, ``pct_list`` a list of
+  integers and ``delta_list`` a list of numbers, as the flags accept.
 
 Every parse failure raises :class:`DataFormatError` carrying the file path
 and, for line-oriented input, the line number.
@@ -55,7 +57,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import BoundingBox, FrameSize, Segment
-from .linking import ActionTube, MicroTubeDetection, MicroTubeStream
+from .linking import ActionTube, MicroTubeStream
 from .metrics import AVG_DELTA, EvalReport, GroundTruthTube
 from .prediction import PredictionHorizon
 
@@ -278,8 +280,15 @@ def _check_detection_records(path: str, expected: tuple | None) -> None:
                     raise ValueError(f"non-finite prediction coordinates {prediction}")
                 for k in [*range(1, n + 1), *([0] if delta_p > 0 else [])]:
                     BoundingBox(*prediction[4 * k: 4 * k + 4])
-            MicroTubeDetection(t, delta, BoundingBox(x1, y1, x2, y2), BoundingBox(x3, y3, x4, y4),
-                               scores)
+            if delta < 1:
+                raise ValueError(f"delta must be >= 1, got {delta}")
+            if len(scores) < 2:
+                raise ValueError("class scores need at least one real class plus background")
+            if any(s < 0.0 for s in scores):
+                raise ValueError(f"negative class score in {scores}")
+            total = sum(scores)
+            if abs(total - 1.0) > 1e-6:
+                raise ValueError(f"class scores must sum to 1 within 1e-6, got {total}")
         except ValueError as exc:
             _fail(where, str(exc))
         current = (delta, horizon, len(scores))
@@ -293,36 +302,40 @@ def _check_detection_records(path: str, expected: tuple | None) -> None:
 
 
 def write_detections(
-    streams: Mapping[str, Sequence[MicroTubeDetection]],
+    streams: Mapping[str, MicroTubeStream],
     horizon: PredictionHorizon,
     path: str,
 ) -> None:
-    """Write detection streams; a payload's past slot falls back to the box at t.
+    """Write detection streams, one record per row, straight from the columns.
 
-    Reading the file back with :func:`read_detections` gives the same streams
-    when payloads carry a past box exactly when ``horizon.delta_p > 0``, as
-    synth's do.
+    A stream without a ``past`` column fills each payload's past slot with
+    the box at t. Reading the file back with :func:`read_detections` gives
+    the same streams when a stream has a ``past`` column exactly when
+    ``horizon.delta_p > 0``, as synth's do.
     """
     layout = [horizon.delta_p, horizon.delta_f, horizon.n]
     with open(path, "w", encoding="utf-8") as fh:
-        for video_id, dets in streams.items():
-            for d in dets:
-                prediction = None
-                if d.predictions is not None:
-                    future = d.predictions.future_boxes
-                    if len(future) != horizon.n:
-                        raise ValueError(f"video {video_id!r} t={d.t}: payload carries "
-                                         f"{len(future)} future boxes, horizon says {horizon.n}")
-                    past = d.predictions.past_box or d.box_t
-                    prediction = [c for box in (past, *future) for c in box.as_tuple()]
+        for video_id, stream in streams.items():
+            n = len(stream)
+            if not n:
+                continue
+            if stream.payload.any() and stream.future.shape[1] != horizon.n:
+                t = int(stream.t[np.argmax(stream.payload)])
+                raise ValueError(f"video {video_id!r} t={t}: payload carries "
+                                 f"{stream.future.shape[1]} future boxes, horizon says {horizon.n}")
+            past = stream.pairs[:, 0] if stream.past is None else stream.past
+            slots = np.concatenate((past[:, None], stream.future), axis=1).reshape(n, -1)
+            rows = zip(stream.t.tolist(), stream.pairs.reshape(n, 8).tolist(), slots.tolist(),
+                       stream.payload.tolist(), stream.scores.tolist())
+            for t, microtube, prediction, carried, scores in rows:
                 obj = {
                     "video": video_id,
-                    "t": d.t,
-                    "delta": d.delta,
+                    "t": t,
+                    "delta": stream.delta,
                     "horizon": layout,
-                    "microtube": [*d.box_t.as_tuple(), *d.box_t_plus_delta.as_tuple()],
-                    "prediction": prediction,
-                    "scores": list(d.class_scores),
+                    "microtube": microtube,
+                    "prediction": prediction if carried else None,
+                    "scores": scores,
                 }
                 fh.write(json.dumps(obj) + "\n")
 
@@ -560,20 +573,31 @@ def read_tubes(path: str) -> dict[str, list[ActionTube]]:
             _fail(where, f"invalid JSON ({exc.msg} at line {exc.lineno})")
     if not isinstance(obj, dict) or obj.keys() != {"videos"}:
         _fail(where, "tubes document must be an object with key 'videos'")
+    if not isinstance(obj["videos"], list):
+        _fail(where, f"'videos' must be a list, got {obj['videos']!r}")
     out: dict[str, list[ActionTube]] = {}
-    for entry in obj["videos"]:
+    for v, entry in enumerate(obj["videos"]):
+        if not isinstance(entry, dict):
+            _fail(where, f"video entry {v} must be an object, got {entry!r}")
         video_id = entry.get("id")
         if not isinstance(video_id, str):
             _fail(where, f"video id must be a string, got {video_id!r}")
         if video_id in out:
             _fail(where, f"duplicate video id {video_id!r}")
+        raw_tubes = entry.get("tubes", [])
+        if not isinstance(raw_tubes, list):
+            _fail(f"{where} (video {video_id!r})", f"'tubes' must be a list, got {raw_tubes!r}")
         tubes = []
-        for k, raw in enumerate(entry.get("tubes", [])):
+        for k, raw in enumerate(raw_tubes):
             twhere = f"{where} (video {video_id!r} tube {k})"
             try:
+                score = raw["score"]
+                # type(), not isinstance(): JSON true/false load as bool.
+                if type(score) not in _NUMBER_TYPES or not math.isfinite(score):
+                    _fail(twhere, f"score must be a finite number, got {score!r}")
                 tubes.append(ActionTube(
                     class_id=_as_int(raw["class"], twhere, "class"),
-                    tube_score=float(raw["score"]),
+                    tube_score=float(score),
                     detected=_segment_rows(raw["detected"], twhere, "detected"),
                     predicted=_segment_rows(raw["predicted"], twhere, "predicted"),
                 ))
@@ -689,4 +713,12 @@ def read_config(path: str) -> dict:
                 _fail(path, f"config key {key!r} must be a number, got {value!r}")
         elif not isinstance(value, expected) or isinstance(value, bool):
             _fail(path, f"config key {key!r} must be {expected.__name__}, got {value!r}")
+        # type(), not isinstance(): JSON true/false load as bool, a subclass of int.
+        if key == "horizon" and (len(value) != 3 or any(type(v) is not int for v in value)):
+            _fail(path, f"config key 'horizon' must be three integers [delta_p, delta_f, n], "
+                        f"got {value!r}")
+        if key == "pct_list" and any(type(v) is not int for v in value):
+            _fail(path, f"config key 'pct_list' must be a list of integers, got {value!r}")
+        if key == "delta_list" and any(type(v) not in _NUMBER_TYPES for v in value):
+            _fail(path, f"config key 'delta_list' must be a list of numbers, got {value!r}")
     return obj

@@ -1,21 +1,23 @@
 """Per-class NMS and online micro-tube linking into action tubes.
 
 A micro-tube is a pair of boxes at frames t and t+delta emitted jointly by
-the detector and treated as implicitly linked. One video's micro-tubes
-travel as a :class:`MicroTubeStream` of columns, from the detection file to
-the finished tubes. Linking runs independently per class: at every step the
-surviving micro-tubes are greedily associated with the open tubes whose
-tail box lives at the micro-tube's first frame, scored by class score plus
-a weighted IoU term. The linker computes every overlap a pushed chunk can
-ask for in two broadcast IoU calls; the greedy NMS and association then run
-over plain floats.
+the detector and treated as implicitly linked, with C+1 class scores and
+optional past and future payload boxes. One video's micro-tubes exist only
+as the columns of a :class:`MicroTubeStream`, from synth or the detection
+file to the finished tubes; no object is built per micro-tube. Linking runs
+independently per class: at every step the surviving micro-tubes are
+greedily associated with the open tubes whose tail box lives at the
+micro-tube's first frame, scored by class score plus a weighted IoU term.
+The linker computes every overlap a pushed chunk can ask for in two
+broadcast IoU calls; the greedy NMS and association then run over plain
+floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,60 +26,22 @@ from .geometry import BoundingBox, Segment, box_iou
 DEFAULT_NMS_THRESHOLD = 0.45
 
 
-@dataclass(frozen=True)
-class PredictionPayload:
-    """Past/future boxes regressed alongside one micro-tube.
-
-    ``past_box`` is the smoothing estimate at t - delta_p (absent when the
-    horizon has no past component); ``future_boxes[k-1]`` lives at
-    t + k*delta_f.
-    """
-
-    future_boxes: tuple[BoundingBox, ...]
-    past_box: BoundingBox | None = None
-
-
-@dataclass(frozen=True)
-class MicroTubeDetection:
-    """One detector output: a scored box pair plus optional predictions.
-
-    ``class_scores`` has C+1 entries summing to 1, background last. It is
-    one row of a :class:`MicroTubeStream`.
-    """
-
-    t: int
-    delta: int
-    box_t: BoundingBox
-    box_t_plus_delta: BoundingBox
-    class_scores: tuple[float, ...]
-    predictions: PredictionPayload | None = None
-
-    def __post_init__(self) -> None:
-        if self.delta < 1:
-            raise ValueError(f"delta must be >= 1, got {self.delta}")
-        if len(self.class_scores) < 2:
-            raise ValueError("class scores need at least one real class plus background")
-        if any(s < 0.0 for s in self.class_scores):
-            raise ValueError(f"negative class score in {self.class_scores}")
-        total = sum(self.class_scores)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"class scores must sum to 1 within 1e-6, got {total}")
-
-
-class MicroTubeStream(Sequence[MicroTubeDetection]):
+class MicroTubeStream:
     """One video's micro-tubes as read-only columns, in time order.
 
     ``t`` (int, N) holds start frames and ``delta`` the frame gap all rows
     share; ``pairs`` (N x 2 x 4) the boxes at t and t+delta; ``scores``
-    (N x C+1) the class scores. ``payload`` (bool, N) marks the rows that
-    carry predictions, ``future`` (N x n x 4) their future boxes and
-    ``past`` (N x 4) their past boxes, or is None when no row has one.
-    Values are trusted: they come from validated records or from
-    :func:`~tubekit.dataio.read_detections`. Indexing a row builds a
-    :class:`MicroTubeDetection`; a slice is a stream of views.
+    (N x C+1) the class scores, summing to 1 per row, background last.
+    ``payload`` (bool, N) marks the rows that carry predictions, ``future``
+    (N x n x 4) their future boxes (box k-1 at t + k*delta_f) and ``past``
+    (N x 4) their past boxes at t - delta_p, or is None when the horizon
+    has no past component. Values are trusted: they come from
+    :func:`~tubekit.synth.generate` or from
+    :func:`~tubekit.dataio.read_detections`. A slice is a stream of views.
     """
 
     __slots__ = ("t", "delta", "pairs", "scores", "payload", "future", "past")
+    EMPTY: "MicroTubeStream"  # the stream without rows, shared
 
     def __init__(self, t, delta: int, pairs, scores, payload, future, past=None) -> None:
         self.t = np.asarray(t, dtype=np.int64)
@@ -87,48 +51,10 @@ class MicroTubeStream(Sequence[MicroTubeDetection]):
         self.scores = np.asarray(scores, dtype=float)
         self.payload = np.asarray(payload, dtype=bool).reshape(n)
         self.future = np.asarray(future, dtype=float)
-        if self.future.ndim != 3:  # rows of zero future boxes
-            self.future = self.future.reshape(n, -1, 4)
         self.past = None if past is None else np.asarray(past, dtype=float).reshape(n, 4)
         for column in (self.t, self.pairs, self.scores, self.payload, self.future, self.past):
             if column is not None:
                 column.flags.writeable = False
-
-    @classmethod
-    def of(cls, detections: Sequence[MicroTubeDetection]) -> "MicroTubeStream":
-        """The stream of a detection sequence; a stream is returned as is.
-
-        Rows must share one ``delta``, one score count and one payload
-        layout (future box count, past box or none).
-        """
-        if isinstance(detections, MicroTubeStream):
-            return detections
-        dets = list(detections)
-        if not dets:
-            return cls([], 1, [], np.empty((0, 0)), [], np.empty((0, 0, 4)))
-        delta, width = dets[0].delta, len(dets[0].class_scores)
-        payloads = [d.predictions for d in dets]
-        carried = [p for p in payloads if p is not None]
-        n = len(carried[0].future_boxes) if carried else 0
-        with_past = bool(carried) and carried[0].past_box is not None
-        for d in dets:
-            if d.delta != delta:
-                raise ValueError(f"mixed frame gaps in stream: {d.delta} vs {delta}")
-            if len(d.class_scores) != width:
-                raise ValueError(f"detection carries {len(d.class_scores)} scores, expected {width}")
-        for p in carried:
-            if len(p.future_boxes) != n or (p.past_box is not None) != with_past:
-                raise ValueError("payloads of one stream must carry the same boxes")
-        blank = (0.0,) * 4
-        return cls(
-            t=[d.t for d in dets],
-            delta=delta,
-            pairs=[(d.box_t.as_tuple(), d.box_t_plus_delta.as_tuple()) for d in dets],
-            scores=[d.class_scores for d in dets],
-            payload=[p is not None for p in payloads],
-            future=[[b.as_tuple() for b in p.future_boxes] if p else [blank] * n for p in payloads],
-            past=[p.past_box.as_tuple() if p else blank for p in payloads] if with_past else None,
-        )
 
     def take(self, rows) -> "MicroTubeStream":
         """The rows at ``rows`` (indices, a slice or a mask), in that order."""
@@ -161,40 +87,22 @@ class MicroTubeStream(Sequence[MicroTubeDetection]):
                                np.concatenate((self.payload, other.payload)),
                                np.concatenate(future), past)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):  # views of read-only columns are read-only
-            view = object.__new__(MicroTubeStream)
-            view.t, view.delta, view.pairs = self.t[index], self.delta, self.pairs[index]
-            view.scores, view.payload, view.future = (
-                self.scores[index], self.payload[index], self.future[index])
-            view.past = None if self.past is None else self.past[index]
-            return view
-        i = range(len(self))[index]  # bounds check and negative indices
-        predictions = None
-        if self.payload[i]:
-            predictions = PredictionPayload(
-                future_boxes=tuple(BoundingBox(*b) for b in self.future[i].tolist()),
-                past_box=None if self.past is None else BoundingBox(*self.past[i].tolist()),
-            )
-        first, second = self.pairs[i].tolist()
-        return MicroTubeDetection(int(self.t[i]), self.delta, BoundingBox(*first),
-                                  BoundingBox(*second), tuple(self.scores[i].tolist()), predictions)
-
-    def __iter__(self) -> Iterator[MicroTubeDetection]:
-        return (self[i] for i in range(len(self)))
+    def __getitem__(self, rows: slice) -> "MicroTubeStream":
+        """The rows in a slice, as views; views of read-only columns are read-only."""
+        if not isinstance(rows, slice):
+            raise TypeError(f"a stream is sliced, not indexed; got {rows!r}")
+        view = object.__new__(MicroTubeStream)
+        view.t, view.delta, view.pairs = self.t[rows], self.delta, self.pairs[rows]
+        view.scores, view.payload, view.future = (
+            self.scores[rows], self.payload[rows], self.future[rows])
+        view.past = None if self.past is None else self.past[rows]
+        return view
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
 
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"MicroTubeStream({list(self)!r})"
+MicroTubeStream.EMPTY = MicroTubeStream([], 1, [], np.empty((0, 0)), [], np.empty((0, 0, 4)))
 
 
 @dataclass(frozen=True)
@@ -224,21 +132,20 @@ class ActionTube:
     ``detected`` covers observed frames (contiguous at the micro-tube
     stride); ``predicted`` covers strictly later, unobserved frames. Both
     accept any frame -> box mapping and are stored as :class:`Segment`.
-    The member micro-tubes (any detection sequence, stored as a
-    :class:`MicroTubeStream`) are kept so their prediction payloads can
-    seed the future segment.
+    The member micro-tubes are kept so their prediction payloads can seed
+    the future segment; tubes compare equal on everything but them, as a
+    tubes file does not record them.
     """
 
     class_id: int
     tube_score: float
     detected: Mapping[int, BoundingBox]
     predicted: Mapping[int, BoundingBox]
-    members: Sequence[MicroTubeDetection] = ()
+    members: MicroTubeStream = field(default=MicroTubeStream.EMPTY, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.detected = Segment.of(self.detected)
         self.predicted = Segment.of(self.predicted)
-        self.members = MicroTubeStream.of(self.members)
         frames = self.detected.frames
         if not len(frames):
             raise ValueError("tube without detected boxes")
@@ -450,9 +357,9 @@ class OnlineLinker:
             raise ValueError(f"temporal discontinuity: step at frame {t[off[0]]} "
                              f"is off the stride {chunk.delta}")
 
-    def push(self, chunk: Sequence[MicroTubeDetection]) -> None:
-        """Link a time-ordered chunk of micro-tubes (a :class:`MicroTubeStream`
-        or any detection sequence) whose frames follow every earlier push.
+    def push(self, chunk: MicroTubeStream) -> None:
+        """Link a time-ordered chunk of micro-tubes whose frames follow every
+        earlier push.
 
         Lattice steps without micro-tubes, up to the chunk's last frame, are
         advanced as empty steps, so the clock only runs up to the last frame
@@ -460,7 +367,6 @@ class OnlineLinker:
         below ``score_threshold``, run :func:`nms`, :func:`link_step`, then
         close tubes that missed ``patience`` steps. An empty chunk is a no-op.
         """
-        chunk = MicroTubeStream.of(chunk)
         if not len(chunk):
             return
         self._check(chunk)
@@ -550,13 +456,12 @@ class OnlineLinker:
 
 
 def build_tubes(
-    stream: Sequence[MicroTubeDetection],
+    stream: MicroTubeStream,
     num_classes: int,
     params: LinkParams = LinkParams(),
 ) -> list[ActionTube]:
     """Turn a time-ordered micro-tube stream into per-class action tubes.
 
-    ``stream`` is a :class:`MicroTubeStream` or any detection sequence.
     Per class and per step: drop micro-tubes scoring below
     ``score_threshold``, run NMS, then :func:`link_step`. Tubes that miss
     ``patience`` consecutive steps are closed. Steps with no surviving

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import BoundingBox, FrameSize, Segment, box_iou
-from .linking import ActionTube, LinkParams, MicroTubeDetection, MicroTubeStream, OnlineLinker
+from .linking import ActionTube, LinkParams, MicroTubeStream, OnlineLinker
 from .prediction import PredictionHorizon, early_label, predict_full_tube
 
 AVG_DELTA = "avg"
@@ -154,24 +154,6 @@ def _class_ap(
     return out
 
 
-def average_precision(
-    detections: Sequence[TubeEntry],
-    gts: Mapping[str, Sequence[FrameBoxes]],
-    delta: float,
-) -> float | None:
-    """Average precision of one class of scored tube detections.
-
-    Detections are ranked by descending score (ties keep input order). A
-    detection is a true positive if its tube IoU with the best still
-    unclaimed same-video ground truth reaches ``delta``; each ground truth
-    is claimed at most once. Returns None when there is no ground truth
-    (the class is then excluded from any mean).
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"detection threshold must lie in (0, 1), got {delta}")
-    return _class_ap(detections, gts, [delta])[delta]
-
-
 def map_at(class_aps: Mapping[int, float | None]) -> float | None:
     """Mean AP over classes that have ground truth (AP not None)."""
     values = [v for v in class_aps.values() if v is not None]
@@ -268,7 +250,7 @@ def observed_frames(num_frames: int, percentage: int) -> int:
 
 
 def evaluate_sweep(
-    detections_by_video: Mapping[str, Sequence[MicroTubeDetection]],
+    detections_by_video: Mapping[str, MicroTubeStream],
     video_meta: Mapping[str, tuple[int, FrameSize]],
     gt_tubes: Sequence[GroundTruthTube],
     num_classes: int,
@@ -280,8 +262,8 @@ def evaluate_sweep(
 ) -> EvalReport:
     """Run the full protocol over a grid of observation percentages.
 
-    ``detections_by_video`` holds a :class:`MicroTubeStream` or any
-    detection sequence per video. Linking is one causal pass per video,
+    ``detections_by_video`` holds one stream per video; a video without
+    one has no detections. Linking is one causal pass per video,
     snapshotted at each frontier: for percentage q the video's
     :class:`OnlineLinker` is pushed, as one chunk, the micro-tubes fully
     inside the observed prefix that it has not seen yet,
@@ -352,7 +334,7 @@ def evaluate_sweep(
                     per_class.append((c, sum(vals) / len(vals)))
             report.cells.append(EvalCell(metric, AVG_DELTA, q, mean, tuple(per_class)))
 
-    streams = {video_id: MicroTubeStream.of(detections_by_video.get(video_id, ()))
+    streams = {video_id: detections_by_video.get(video_id, MicroTubeStream.EMPTY)
                for video_id in video_meta}
     linkers = {video_id: OnlineLinker(num_classes, link_params) for video_id in video_meta}
     pushed = dict.fromkeys(video_meta, 0)

@@ -3,7 +3,10 @@
 Actors translate along piecewise-constant velocity schedules; ground-truth
 tubes follow the schedule exactly (clipped at the frame edges). Simulated
 detections perturb the true micro-tubes and payload boxes under a
-controllable noise model. Generation is deterministic for a fixed seed:
+controllable noise model; each video's detections come out as one
+:class:`~tubekit.linking.MicroTubeStream`, the form
+:func:`~tubekit.dataio.read_detections` returns. Generation is
+deterministic for a fixed seed:
 the random stream is consumed in a fixed order whose length does not
 depend on the noise magnitudes, so sweeping a sigma re-scales the same
 draws.
@@ -17,7 +20,7 @@ import numpy as np
 
 from .dataio import DatasetManifest, VideoEntry
 from .geometry import BoundingBox, FrameSize, clip_box
-from .linking import MicroTubeDetection, PredictionPayload
+from .linking import MicroTubeStream
 from .metrics import GroundTruthTube
 from .prediction import PredictionHorizon
 
@@ -163,14 +166,16 @@ def generate(
     spec: ScenarioSpec,
     num_classes: int,
     video_id: str = "video_000",
-) -> tuple[VideoEntry, list[MicroTubeDetection]]:
+) -> tuple[VideoEntry, MicroTubeStream]:
     """Generate one video's ground truth and simulated detection stream.
 
     Ground-truth tubes follow the motion schedule exactly, clipped at the
     frame edges. One detection per actor is emitted for every frame pair
     (t, t+delta) unless dropped by the miss rate; payload boxes cover the
-    horizon with the schedule continued past the video ends. False
-    positives are static uniform random boxes with near-uniform scores.
+    horizon with the schedule continued past the video ends, and every row
+    carries them unless the horizon has neither past nor future boxes.
+    False positives are static uniform random boxes with near-uniform
+    scores.
     """
     if any(a.class_id >= num_classes for a in spec.actors):
         raise ValueError("actor class id outside the declared class count")
@@ -194,7 +199,8 @@ def generate(
     entry = VideoEntry(video_id=video_id, num_frames=spec.num_frames,
                        frame=spec.frame, tubes=tubes)
 
-    detections: list[MicroTubeDetection] = []
+    # One Python row per detection, turned into columns once per video.
+    t_rows, pairs, scores, future, past = [], [], [], [], []
     # Consecutive micro-tube sets are delta apart: t = 1, 1+delta, 1+2*delta, ...
     for t in range(1, spec.num_frames - spec.delta + 1, spec.delta):
         for actor, path in zip(spec.actors, paths):
@@ -203,27 +209,22 @@ def generate(
                                 noise.size_sigma, spec.frame)
             box_b = _jitter_box(rng, path[t + spec.delta], noise.center_sigma,
                                 noise.size_sigma, spec.frame)
-            past = _jitter_box(rng, path[t - horizon.delta_p],
-                               noise.prediction_sigma, 0.0, spec.frame)
-            future = tuple(
+            past_box = _jitter_box(rng, path[t - horizon.delta_p],
+                                   noise.prediction_sigma, 0.0, spec.frame)
+            future_boxes = tuple(
                 _jitter_box(rng, path[t + k * horizon.delta_f],
-                            noise.prediction_sigma, 0.0, spec.frame)
+                            noise.prediction_sigma, 0.0, spec.frame).as_tuple()
                 for k in range(1, horizon.n + 1)
             )
-            scores = _class_scores(rng, actor.class_id, num_classes,
-                                   spec.score_margin, noise.score_temperature)
+            class_scores = _class_scores(rng, actor.class_id, num_classes,
+                                         spec.score_margin, noise.score_temperature)
             if missed:
                 continue
-            payload = None
-            if horizon.n > 0 or horizon.delta_p > 0:
-                payload = PredictionPayload(
-                    future_boxes=future,
-                    past_box=past if horizon.delta_p > 0 else None,
-                )
-            detections.append(MicroTubeDetection(
-                t=t, delta=spec.delta, box_t=box_a, box_t_plus_delta=box_b,
-                class_scores=scores, predictions=payload,
-            ))
+            t_rows.append(t)
+            pairs.append((box_a.as_tuple(), box_b.as_tuple()))
+            scores.append(class_scores)
+            future.append(future_boxes)
+            past.append(past_box.as_tuple())
 
         emit_fp = rng.random() < noise.false_positive_rate
         fx = rng.uniform(0.0, spec.frame.width * 0.8)
@@ -232,33 +233,33 @@ def generate(
         fh = rng.uniform(0.05, 0.25) * spec.frame.height
         fp_logits = rng.uniform(0.0, 1.0, num_classes + 1)
         if emit_fp:
-            fp_box = clip_box(BoundingBox(fx, fy, fx + fw, fy + fh), spec.frame)
+            fp_box = clip_box(BoundingBox(fx, fy, fx + fw, fy + fh), spec.frame).as_tuple()
             exp = np.exp(fp_logits - np.max(fp_logits))
-            fp_scores = tuple(float(s) for s in exp / np.sum(exp))
-            payload = None
-            if horizon.n > 0 or horizon.delta_p > 0:
-                payload = PredictionPayload(
-                    future_boxes=(fp_box,) * horizon.n,
-                    past_box=fp_box if horizon.delta_p > 0 else None,
-                )
-            detections.append(MicroTubeDetection(
-                t=t, delta=spec.delta, box_t=fp_box, box_t_plus_delta=fp_box,
-                class_scores=fp_scores, predictions=payload,
-            ))
-    return entry, detections
+            t_rows.append(t)
+            pairs.append((fp_box, fp_box))
+            scores.append(tuple(float(s) for s in exp / np.sum(exp)))
+            future.append((fp_box,) * horizon.n)
+            past.append(fp_box)
+
+    rows = len(t_rows)
+    stream = MicroTubeStream(
+        t_rows, spec.delta, pairs, np.array(scores).reshape(rows, num_classes + 1),
+        payload=np.full(rows, horizon.n > 0 or horizon.delta_p > 0),
+        future=np.array(future, dtype=float).reshape(rows, horizon.n, 4),
+        past=past if horizon.delta_p > 0 else None,
+    )
+    return entry, stream
 
 
 def generate_dataset(
     specs: dict[str, ScenarioSpec],
     class_names: tuple[str, ...],
-) -> tuple[DatasetManifest, dict[str, list[MicroTubeDetection]]]:
+) -> tuple[DatasetManifest, dict[str, MicroTubeStream]]:
     """Generate a manifest and detection streams for many scenarios."""
     videos: dict[str, VideoEntry] = {}
-    streams: dict[str, list[MicroTubeDetection]] = {}
+    streams: dict[str, MicroTubeStream] = {}
     for video_id, spec in specs.items():
-        entry, dets = generate(spec, len(class_names), video_id)
-        videos[video_id] = entry
-        streams[video_id] = dets
+        videos[video_id], streams[video_id] = generate(spec, len(class_names), video_id)
     return DatasetManifest(class_names=class_names, videos=videos), streams
 
 
@@ -329,7 +330,7 @@ def lane_dataset(
     noise: NoiseModel = NoiseModel(),
     horizon: PredictionHorizon = PredictionHorizon(0, 5, 3),
     delta: int = 1,
-) -> tuple[DatasetManifest, dict[str, list[MicroTubeDetection]]]:
+) -> tuple[DatasetManifest, dict[str, MicroTubeStream]]:
     """Dataset of lane scenarios; video i carries class ``i % num_classes``."""
     specs = {
         f"video_{i:03d}": lane_scenario(

@@ -20,14 +20,14 @@ from tubekit.geometry import (
 )
 from tubekit.linking import LinkParams, nms
 from tubekit.losses import run_grad_check, total_loss
-from tubekit.metrics import average_precision, evaluate_sweep
+from tubekit.metrics import evaluate_sweep
 from tubekit.prediction import PredictionHorizon
 from tubekit.synth import NoiseModel, lane_dataset
 
 from test_anchors import mean_iou_microtube
 from test_linking import pair_overlaps, paired_mean_iou
 from test_losses import make_inputs
-from test_metrics import BOX, box_with_iou, oracle_ap, oracle_labels
+from test_metrics import BOX, average_precision, box_with_iou, oracle_ap, oracle_labels
 
 
 def report_pass(number, name):

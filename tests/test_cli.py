@@ -135,6 +135,19 @@ class TestErrors:
         assert run(["check-loss", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"horizon": [0, 5]}, "horizon"),
+        ({"horizon": [0, True, 3]}, "horizon"),
+        ({"pct_list": [0.5]}, "pct_list"),
+    ], ids=["horizon_short", "horizon_bool", "pct_float"])
+    def test_bad_config_list_rejected(self, capsys, tmp_path, doc, key):
+        # The flags reject these too; the config file must not coerce them.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 2
+        assert f"{cfg}: config key {key!r} must be" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_detection_past_video_end(self, dataset, tmp_path, capsys):
         # The synth videos have 30 frames; a micro-tube at t = 30 ends on frame 31.
         path = dataset["dir"] / "detections.jsonl"

@@ -21,10 +21,19 @@ from tubekit.dataio import (
     write_tubes,
 )
 from tubekit.geometry import BoundingBox, FrameSize, Segment
-from tubekit.linking import ActionTube, MicroTubeDetection, MicroTubeStream, PredictionPayload
+from tubekit.linking import ActionTube, MicroTubeStream
 from tubekit.metrics import GroundTruthTube
 from tubekit.prediction import PredictionHorizon
 from tubekit.synth import NoiseModel, lane_dataset
+
+from records import (
+    MicroTubeDetection,
+    PredictionPayload,
+    records_by_video,
+    records_of,
+    stream_of,
+    streams_of,
+)
 
 
 def random_box_coords(rng):
@@ -51,7 +60,8 @@ def sample_detection(t=1, n=2):
 def sample_line(tmp_path, n=2):
     """The JSON object that write_detections makes of one sample detection."""
     path = tmp_path / "one.jsonl"
-    write_detections({"v0": [sample_detection(n=n)]}, PredictionHorizon(0, 5, n), str(path))
+    write_detections({"v0": stream_of([sample_detection(n=n)])}, PredictionHorizon(0, 5, n),
+                     str(path))
     return json.loads(path.read_text())
 
 
@@ -62,16 +72,16 @@ class TestDetectionRecords:
             "v0": [sample_detection(t) for t in (1, 2, 3)],
             "v1": [sample_detection(t) for t in (1, 2)],
         }
-        write_detections(streams, PredictionHorizon(0, 5, 2), path)
-        assert read_detections(path) == streams
+        write_detections(streams_of(streams), PredictionHorizon(0, 5, 2), path)
+        assert records_by_video(read_detections(path)) == streams
 
     def test_records_without_payload_roundtrip(self, tmp_path):
         path = str(tmp_path / "d.jsonl")
         bare = replace(sample_detection(2), predictions=None)
         streams = {"v0": [sample_detection(1), bare, sample_detection(3)], "v1": [bare]}
-        write_detections(streams, PredictionHorizon(0, 5, 2), path)
+        write_detections(streams_of(streams), PredictionHorizon(0, 5, 2), path)
         back = read_detections(path)
-        assert back == streams
+        assert records_by_video(back) == streams
         assert back["v0"].payload.tolist() == [True, False, True]
 
     @pytest.mark.parametrize("horizon", [(0, 5, 3), (2, 5, 3)], ids=["0,5,3", "2,5,3"])
@@ -82,15 +92,25 @@ class TestDetectionRecords:
         path = str(tmp_path / "d.jsonl")
         write_detections(streams, horizon, path)
         back = read_detections(path)
-        assert back == streams
-        payloads = [d.predictions for dets in back.values() for d in dets]
+        assert records_by_video(back) == records_by_video(streams)
+        payloads = [d.predictions for dets in records_by_video(back).values() for d in dets]
         assert all(len(p.future_boxes) == 3 for p in payloads)
         assert all((p.past_box is not None) == (horizon.delta_p > 0) for p in payloads)
 
+    def test_video_without_detections_writes_no_records(self, tmp_path):
+        # Synth gives a video whose actors were all missed a stream without rows.
+        _, streams = lane_dataset(seed=2, num_videos=2, num_classes=2,
+                                  noise=NoiseModel(miss_rate=1.0))
+        assert [len(s) for s in streams.values()] == [0, 0]
+        streams["video_000"] = stream_of([sample_detection(1, n=3)])
+        path = str(tmp_path / "d.jsonl")
+        write_detections(streams, PredictionHorizon(0, 5, 3), path)
+        assert list(read_detections(path)) == ["video_000"]
+
     def test_writer_rejects_payload_of_wrong_length(self, tmp_path):
         with pytest.raises(ValueError, match="2 future boxes, horizon says 3"):
-            write_detections({"v0": [sample_detection(n=2)]}, PredictionHorizon(0, 5, 3),
-                             str(tmp_path / "d.jsonl"))
+            write_detections({"v0": stream_of([sample_detection(n=2)])},
+                             PredictionHorizon(0, 5, 3), str(tmp_path / "d.jsonl"))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -114,6 +134,8 @@ class TestDetectionRecords:
             ({"prediction": prediction[:4] + [fx_max, fy_min, fx_min, fy_max] + prediction[8:]},
              "inverted box"),
             ({"scores": [1.2, -0.2, 0.0, 0.0]}, "negative class score"),
+            ({"delta": 0}, "delta must be >= 1, got 0"),
+            ({"scores": [1.0]}, "at least one real class plus background"),
             ({"t": -1}, "t must be a frame index >= 1, got -1"),
             ({"t": 2**63}, "must not exceed 9223372036854775807"),
             ({"horizon": [0, 5, 2**70]}, "must not exceed 9223372036854775807"),
@@ -145,7 +167,7 @@ class TestDetectionRecords:
 
     def test_non_monotone_t(self, tmp_path):
         path = str(tmp_path / "order.jsonl")
-        write_detections({"v0": [sample_detection(5), sample_detection(2)]},
+        write_detections({"v0": stream_of([sample_detection(5), sample_detection(2)])},
                          PredictionHorizon(0, 5, 2), path)
         with pytest.raises(DataFormatError, match="non-monotone"):
             read_detections(path)
@@ -174,7 +196,7 @@ class TestDetectionRecords:
     def test_streams_are_columns(self, tmp_path):
         path = str(tmp_path / "d.jsonl")
         dets = [sample_detection(t, n=3) for t in (1, 2, 3)]
-        write_detections({"v0": dets}, PredictionHorizon(0, 5, 3), path)
+        write_detections({"v0": stream_of(dets)}, PredictionHorizon(0, 5, 3), path)
         stream = read_detections(path)["v0"]
         assert isinstance(stream, MicroTubeStream)
         assert stream.t.tolist() == [1, 2, 3]
@@ -290,7 +312,7 @@ class TestTubesDocument:
         assert back["v"][0].detected == tube.detected
         assert back["v"][0].predicted == tube.predicted
         assert back["v"][0].tube_score == tube.tube_score
-        assert back["v"][0].members == ()
+        assert tuple(records_of(back["v"][0].members)) == ()
 
     @pytest.mark.parametrize("frames, message", [
         ([1.5, 2, 2], r"detected frame 1\.5 is not an integer"),
@@ -325,6 +347,29 @@ class TestTubesDocument:
             path.write_text(json.dumps({"videos": [{"id": "v", "tubes": [tube]}]}))
             with pytest.raises(DataFormatError, match=r"\(video 'v' tube 0\)"):
                 read_tubes(str(path))
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"videos": "abc"}, r"t\.json: 'videos' must be a list, got 'abc'"),
+        ({"videos": {"id": "v"}}, r"t\.json: 'videos' must be a list"),
+        ({"videos": ["v"]}, r"t\.json: video entry 0 must be an object, got 'v'"),
+        ({"videos": [{"id": "v", "tubes": "x"}]},
+         r"t\.json \(video 'v'\): 'tubes' must be a list, got 'x'"),
+        ({"videos": [{"id": "v", "tubes": [{"class": 0, "score": True, "predicted": [],
+                                          "detected": [[1, 0, 0, 1, 1]]}]}]},
+         r"t\.json \(video 'v' tube 0\): score must be a finite number, got True"),
+        ({"videos": [{"id": "v", "tubes": [{"class": 0, "score": "0.5", "predicted": [],
+                                          "detected": [[1, 0, 0, 1, 1]]}]}]},
+         r"t\.json \(video 'v' tube 0\): score must be a finite number, got '0\.5'"),
+        ({"videos": [{"id": "v", "tubes": [{"class": 0, "score": float("nan"), "predicted": [],
+                                          "detected": [[1, 0, 0, 1, 1]]}]}]},
+         r"t\.json \(video 'v' tube 0\): score must be a finite number, got nan"),
+    ], ids=["videos_str", "videos_dict", "video_str", "tubes_str", "score_bool", "score_str",
+            "score_nan"])
+    def test_bad_structure_names_location(self, tmp_path, doc, message):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=message):
+            read_tubes(str(path))
 
 
 class TestReport:
@@ -424,4 +469,21 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"seed": "three"}))
         with pytest.raises(DataFormatError, match="seed"):
+            read_config(str(path))
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"horizon": [0, 5]}, r"'horizon' must be three integers .*got \[0, 5\]"),
+        ({"horizon": [0, 5, 3, 1]}, r"'horizon' must be three integers"),
+        ({"horizon": [0, True, 3]}, r"'horizon' must be three integers .*got \[0, True, 3\]"),
+        ({"horizon": [0, 5.0, 3]}, r"'horizon' must be three integers"),
+        ({"pct_list": [0.5]}, r"'pct_list' must be a list of integers, got \[0\.5\]"),
+        ({"pct_list": [50, False]}, r"'pct_list' must be a list of integers"),
+        ({"delta_list": [0.5, True]}, r"'delta_list' must be a list of numbers"),
+        ({"delta_list": ["0.5"]}, r"'delta_list' must be a list of numbers"),
+    ], ids=["horizon_short", "horizon_long", "horizon_bool", "horizon_float", "pct_float",
+            "pct_bool", "delta_bool", "delta_str"])
+    def test_list_elements_checked(self, tmp_path, doc, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=rf"c\.json: config key {message}"):
             read_config(str(path))

@@ -11,10 +11,8 @@ from tubekit.linking import (
     ActionTube,
     ActiveTube,
     LinkParams,
-    MicroTubeDetection,
     MicroTubeStream,
     OnlineLinker,
-    PredictionPayload,
     build_tubes,
     link_step,
     microtube_iou,
@@ -22,6 +20,8 @@ from tubekit.linking import (
 )
 from tubekit.metrics import observed_frames
 from tubekit.synth import NoiseModel, lane_dataset
+
+from records import MicroTubeDetection, records_of, stream_of, tube_records
 
 
 def paired_mean_iou(boxes_a: Sequence[BoundingBox], boxes_b: Sequence[BoundingBox]) -> float:
@@ -172,14 +172,14 @@ def reference_finalize(tube):
         detected[m.t + m.delta] = m.box_t_plus_delta
     score = sum(m.class_scores[tube.class_id] for m in tube.members) / len(tube.members)
     return ActionTube(class_id=tube.class_id, tube_score=score, detected=detected,
-                      predicted={}, members=tuple(tube.members))
+                      predicted={}, members=stream_of(tube.members))
 
 
 def step_inputs(tubes, dets, class_id=0):
     """A stream holding open tubes' members then one step's detections, the
     tubes as linking states over its rows, and the other ``link_step``
     arguments: the step's rows, their class scores and the tail overlaps."""
-    stream = MicroTubeStream.of([m for tube in tubes for m in tube] + list(dets))
+    stream = stream_of([m for tube in tubes for m in tube] + list(dets))
     active, row = [], 0
     for tube in tubes:
         active.append(ActiveTube(class_id=class_id, members=list(range(row, row + len(tube)))))
@@ -294,7 +294,7 @@ class TestLinkStep:
                                                              [det(2, a), det(2, b)])
         out = link_step([tube], rows, 0, scores, overlaps)
         assert len(out) == 2
-        assert stream[out[1].members[0]].box_t == b
+        assert records_of(stream)[out[1].members[0]].box_t == b
 
     def test_two_actors_resolved_like_exhaustive_oracle(self):
         a = BoundingBox(10, 10, 50, 50)
@@ -313,8 +313,8 @@ class TestLinkStep:
         stream, tubes, rows, scores, overlaps = step_inputs(tube_dets, dets)
         out = link_step(tubes, rows, 0, scores, overlaps, params=params)
         assert len(out) == 2
-        assert stream[out[0].members[-1]].box_t == a
-        assert stream[out[1].members[-1]].box_t == b
+        assert records_of(stream)[out[0].members[-1]].box_t == a
+        assert records_of(stream)[out[1].members[-1]].box_t == b
 
     def test_gate_blocks_weak_overlap(self):
         far = det(2, BoundingBox(100, 100, 140, 140))
@@ -328,11 +328,12 @@ class TestLinkStep:
         # Steps are aligned by the linker, which rejects frames off the stride.
         box = BoundingBox(0, 0, 40, 40)
         linker = OnlineLinker(num_classes=2)
-        linker.push([det(1, box, delta=2)])
+        linker.push(stream_of([det(1, box, delta=2)]))
         with pytest.raises(ValueError, match="temporal discontinuity"):
-            linker.push([det(4, box, delta=2)])
+            linker.push(stream_of([det(4, box, delta=2)]))
         with pytest.raises(ValueError, match="temporal discontinuity"):
-            OnlineLinker(num_classes=2).push([det(2, box, delta=2), det(3, box, delta=2)])
+            OnlineLinker(num_classes=2).push(stream_of([det(2, box, delta=2),
+                                                        det(3, box, delta=2)]))
 
     def test_equals_scalar_reference(self):
         rng = np.random.default_rng(43)
@@ -350,7 +351,8 @@ class TestLinkStep:
             out = link_step(active, rows, 0, scores, overlaps)
             expected = reference_link_step([ReferenceActiveTube(0, list(t)) for t in tubes],
                                            dets, 0)
-            assert [[stream[r] for r in tube.members] for tube in out] == [
+            records = records_of(stream)
+            assert [[records[r] for r in tube.members] for tube in out] == [
                 tube.members for tube in expected]
             assert [tube.missed for tube in out] == [tube.missed for tube in expected]
 
@@ -368,7 +370,7 @@ class TestBuildTubes:
     def test_single_actor_recovered_exactly(self):
         base = BoundingBox(10, 20, 50, 80)
         stream = walking_detections(base, range(1, 8))
-        tubes = build_tubes(stream, num_classes=2)
+        tubes = build_tubes(stream_of(stream), num_classes=2)
         assert len(tubes) == 1
         tube = tubes[0]
         assert tube.class_id == 0
@@ -381,14 +383,14 @@ class TestBuildTubes:
         a1, a2 = BoundingBox(0, 0, 40, 40), BoundingBox(2, 0, 42, 40)
         b2, b3 = BoundingBox(3, 0, 43, 40), BoundingBox(6, 0, 46, 40)
         stream = [det(1, a1, box2=a2), det(2, b2, box2=b3)]
-        tube = build_tubes(stream, num_classes=2)[0]
+        tube = build_tubes(stream_of(stream), num_classes=2)[0]
         assert tube.detected[2] == b2  # newer micro-tube's first box wins
 
     def test_two_separated_actors_two_tubes(self):
         left = walking_detections(BoundingBox(10, 10, 50, 50), range(1, 4))
         right = walking_detections(BoundingBox(200, 10, 240, 50), range(1, 4), vx=-2.0)
         stream = sorted(left + right, key=lambda d: d.t)
-        tubes = build_tubes(stream, num_classes=2)
+        tubes = build_tubes(stream_of(stream), num_classes=2)
         assert len(tubes) == 2
         firsts = sorted(t.detected[1].x_min for t in tubes)
         assert firsts == [10, 200]
@@ -397,7 +399,7 @@ class TestBuildTubes:
         a = walking_detections(BoundingBox(10, 10, 50, 50), range(1, 4), class_id=0)
         b = walking_detections(BoundingBox(12, 10, 52, 50), range(1, 4), class_id=1)
         stream = sorted(a + b, key=lambda d: d.t)
-        tubes = build_tubes(stream, num_classes=2)
+        tubes = build_tubes(stream_of(stream), num_classes=2)
         assert sorted(t.class_id for t in tubes) == [0, 1]
 
     def test_background_only_stream_yields_nothing(self):
@@ -407,28 +409,28 @@ class TestBuildTubes:
                                class_scores=(0.001, 0.001, 0.998))
             for t in (1, 2, 3)
         ]
-        assert build_tubes(stream, num_classes=2) == []
+        assert build_tubes(stream_of(stream), num_classes=2) == []
 
     def test_empty_stream(self):
-        assert build_tubes([], num_classes=2) == []
+        assert build_tubes(stream_of([]), num_classes=2) == []
 
     def test_unsorted_stream_rejected(self):
         box = BoundingBox(10, 10, 50, 50)
         stream = [det(3, box), det(1, box)]
         with pytest.raises(ValueError, match="unsorted stream"):
-            build_tubes(stream, num_classes=2)
+            build_tubes(stream_of(stream), num_classes=2)
 
     def test_missed_step_splits_tube_at_default_patience(self):
         base = BoundingBox(10, 20, 50, 80)
         stream = walking_detections(base, [1, 2, 5, 6])
         with_gap = [d for d in stream]
-        tubes = build_tubes(with_gap, num_classes=2)
+        tubes = build_tubes(stream_of(with_gap), num_classes=2)
         assert len(tubes) == 2
 
     def test_patience_bridges_single_gap(self):
         base = BoundingBox(10, 20, 50, 80)
         stream = walking_detections(base, [1, 2, 4, 5])
-        tubes = build_tubes(stream, num_classes=2, params=LinkParams(patience=2))
+        tubes = build_tubes(stream_of(stream), num_classes=2, params=LinkParams(patience=2))
         assert len(tubes) == 1
         assert sorted(tubes[0].detected) == [1, 2, 3, 4, 5, 6]
 
@@ -451,9 +453,10 @@ class TestBuildTubes:
                 b = BoundingBox(x, y, x + 40, y + 40)
                 stream.append(det(t, b, class_id=int(rng.integers(0, 2)),
                                   confidence=float(rng.uniform(0.3, 0.95))))
-        first = build_tubes(stream, num_classes=2)
-        second = build_tubes(stream, num_classes=2)
+        first = build_tubes(stream_of(stream), num_classes=2)
+        second = build_tubes(stream_of(stream), num_classes=2)
         assert first == second
+        assert tube_records(first) == tube_records(second)
 
     def test_no_fabricated_boxes(self):
         rng = np.random.default_rng(37)
@@ -464,7 +467,7 @@ class TestBuildTubes:
             b2 = b1.translated(float(rng.uniform(-4, 4)), 0.0)
             stream.append(det(t, b1, box2=b2))
         source_boxes = {b.as_tuple() for d in stream for b in (d.box_t, d.box_t_plus_delta)}
-        for tube in build_tubes(stream, num_classes=2):
+        for tube in build_tubes(stream_of(stream), num_classes=2):
             for box in tube.detected.values():
                 assert box.as_tuple() in source_boxes
 
@@ -472,13 +475,13 @@ class TestBuildTubes:
         hi = walking_detections(BoundingBox(10, 10, 50, 50), range(1, 4), confidence=0.95)
         lo = walking_detections(BoundingBox(200, 10, 240, 50), range(1, 4), confidence=0.55)
         stream = sorted(hi + lo, key=lambda d: d.t)
-        tubes = build_tubes(stream, num_classes=2)
+        tubes = build_tubes(stream_of(stream), num_classes=2)
         assert [round(t.tube_score, 2) for t in tubes] == [0.95, 0.55]
 
     def test_mixed_delta_rejected(self):
         box = BoundingBox(10, 10, 50, 50)
         with pytest.raises(ValueError, match="mixed frame gaps"):
-            build_tubes([det(1, box, delta=1), det(2, box, delta=2)], num_classes=2)
+            build_tubes(stream_of([det(1, box, delta=1), det(2, box, delta=2)]), num_classes=2)
 
 
 def reference_build_tubes(
@@ -564,9 +567,9 @@ def frontier_snapshots(stream, num_frames, num_classes, params):
     pushed = 0
     for q in range(10, 101, 10):
         f_obs = observed_frames(num_frames, q)
-        observed = [d for d in stream if d.t + d.delta <= f_obs]
+        observed = [d for d in records_of(stream) if d.t + d.delta <= f_obs]
         for _, step in groupby(observed[pushed:], key=attrgetter("t")):
-            linker.push(list(step))
+            linker.push(stream_of(list(step)))
         pushed = len(observed)
         yield observed, f_obs, linker.snapshot()
 
@@ -594,8 +597,9 @@ class TestOnlineLinker:
                 expected = reference_build_tubes(observed, manifest.num_classes, params)
                 assert snapshot == expected
                 for got, want in zip(snapshot, expected):
-                    assert all(a == b for a, b in zip(got.members, want.members))
-                assert build_tubes(observed, manifest.num_classes, params) == expected
+                    assert all(a == b for a, b in zip(records_of(got.members),
+                                                      records_of(want.members)))
+                assert build_tubes(stream_of(observed), manifest.num_classes, params) == expected
                 if observed and observed[-1].t + 2 * observed[-1].delta <= f_obs:
                     trailing_empty += 1
         if dataset is NOISY_SET:
@@ -605,13 +609,15 @@ class TestOnlineLinker:
         stream = walking_detections(BoundingBox(10, 20, 50, 80), range(1, 9))
         linker = OnlineLinker(num_classes=2)
         for d in stream:
-            linker.push([d])
+            linker.push(stream_of([d]))
             linker.snapshot()
         assert linker.snapshot() == reference_build_tubes(stream, num_classes=2)
+        assert tube_records(linker.snapshot()) == tube_records(
+            reference_build_tubes(stream, num_classes=2))
 
     def test_empty_push_is_a_no_op(self):
         linker = OnlineLinker(num_classes=2)
-        linker.push([])
+        linker.push(stream_of([]))
         assert linker.snapshot() == []
 
     @pytest.mark.parametrize("first, second", [
@@ -628,12 +634,12 @@ class TestOnlineLinker:
         with pytest.raises(ValueError) as batch:
             reference_build_tubes(first + second, num_classes=2)
         linker = OnlineLinker(num_classes=2)
-        linker.push(first)
+        linker.push(stream_of(first))
         with pytest.raises(ValueError) as online:
-            linker.push(second)
+            linker.push(stream_of(second))
         assert str(online.value) == str(batch.value)
         with pytest.raises(ValueError) as rebuilt:
-            build_tubes(first + second, num_classes=2)
+            build_tubes(stream_of(first + second), num_classes=2)
         assert str(rebuilt.value) == str(batch.value)
 
     @pytest.mark.parametrize("params", [LinkParams(), LinkParams(patience=2)],
@@ -642,7 +648,7 @@ class TestOnlineLinker:
         manifest, streams = lane_dataset(**NOISY_SET)
         rng = np.random.default_rng(47)
         for video_id in manifest.videos:
-            stream = MicroTubeStream.of(streams[video_id])
+            stream = streams[video_id]
             whole = OnlineLinker(manifest.num_classes, params)
             whole.push(stream)
             chunked = OnlineLinker(manifest.num_classes, params)
@@ -651,23 +657,46 @@ class TestOnlineLinker:
             cuts = np.searchsorted(stream.t, np.sort(frames)).tolist()
             for lo, hi in zip([0, *cuts], [*cuts, len(stream)]):
                 chunked.push(stream[lo:hi])
-            expected = reference_build_tubes(list(stream), manifest.num_classes, params)
+            expected = reference_build_tubes(records_of(stream), manifest.num_classes, params)
             assert whole.snapshot() == expected
             assert chunked.snapshot() == expected
+            assert tube_records(whole.snapshot()) == tube_records(expected)
+            assert tube_records(chunked.snapshot()) == tube_records(expected)
 
     def test_closed_tubes_finalised_once(self):
         left = walking_detections(BoundingBox(10, 10, 50, 50), [1, 2, 3])
         right = walking_detections(BoundingBox(200, 10, 240, 50), range(1, 9))
         stream = sorted(left + right, key=attrgetter("t"))
         linker = OnlineLinker(num_classes=2)
-        linker.push(stream)
+        linker.push(stream_of(stream))
         first, second = linker.snapshot(), linker.snapshot()
         assert first == second == reference_build_tubes(stream, num_classes=2)
+        assert tube_records(first) == tube_records(reference_build_tubes(stream, num_classes=2))
         closed = [tube for tube in first if tube.last_detected_frame == 4]
         assert len(closed) == 1
         assert any(tube is closed[0] for tube in second)
         still_open = [tube for tube in first if tube.last_detected_frame == 9]
         assert len(still_open) == 1 and all(tube is not still_open[0] for tube in second)
+
+
+class TestMicroTubeStream:
+    def test_rows_are_sliced_not_indexed(self):
+        stream = stream_of(walking_detections(BoundingBox(10, 20, 50, 80), range(1, 4)))
+        assert not isinstance(stream, Sequence)
+        assert stream[1:].t.tolist() == [2, 3]
+        assert stream.observed(3).t.tolist() == [1, 2]
+        with pytest.raises(TypeError, match="sliced, not indexed"):
+            stream[0]
+        with pytest.raises(TypeError, match="sliced, not indexed"):
+            list(stream)
+
+    def test_empty_stream_is_shared_and_read_only(self):
+        assert stream_of([]) is MicroTubeStream.EMPTY
+        assert len(MicroTubeStream.EMPTY.observed(10)) == 0
+        assert not MicroTubeStream.EMPTY.t.flags.writeable
+        tube = ActionTube(class_id=0, tube_score=1.0, detected={1: BoundingBox(0, 0, 1, 1)},
+                          predicted={})
+        assert tube.members is MicroTubeStream.EMPTY
 
 
 class TestActionTubeInvariants:
@@ -686,19 +715,6 @@ class TestActionTubeInvariants:
         tube = ActionTube(class_id=0, tube_score=1.0,
                           detected={1: b, 3: b, 5: b}, predicted={6: b})
         assert tube.last_detected_frame == 5
-
-    def test_scores_validated(self):
-        b = BoundingBox(0, 0, 10, 10)
-        with pytest.raises(ValueError, match="sum to 1"):
-            MicroTubeDetection(t=1, delta=1, box_t=b, box_t_plus_delta=b,
-                               class_scores=(0.5, 0.1, 0.1))
-
-    def test_payload_roundtrip_fields(self):
-        b = BoundingBox(0, 0, 10, 10)
-        payload = PredictionPayload(future_boxes=(b, b), past_box=None)
-        d = MicroTubeDetection(t=1, delta=1, box_t=b, box_t_plus_delta=b,
-                               class_scores=scores_for(0, 2), predictions=payload)
-        assert d.predictions.future_boxes == (b, b)
 
 
 def random_stream(rng, num_classes, delta, num_steps):
@@ -748,14 +764,14 @@ class TestAgainstScalarReference:
         for _ in range(40):
             records = random_stream(rng, num_classes=3, delta=delta,
                                     num_steps=int(rng.integers(1, 25)))
-            stream = MicroTubeStream.of(records)
+            stream = stream_of(records)
             expected = reference_build_tubes(records, 3, params)
             got = build_tubes(stream, 3, params)
             assert len(got) == len(expected)
             for tube, want in zip(got, expected):
                 assert tube.class_id == want.class_id
                 assert tube.tube_score == want.tube_score
-                assert list(tube.members) == list(want.members)
+                assert records_of(tube.members) == records_of(want.members)
                 assert tube.detected.frames.tolist() == sorted(want.detected)
                 assert [tube.detected[f] for f in tube.detected] == [
                     want.detected[f] for f in sorted(want.detected)]
@@ -769,4 +785,6 @@ class TestAgainstScalarReference:
                 linker.push(stream[pushed:prefix])
                 pushed = prefix
                 assert linker.snapshot() == reference_build_tubes(records[:prefix], 3, params)
+                assert tube_records(linker.snapshot()) == tube_records(
+                    reference_build_tubes(records[:prefix], 3, params))
         assert ties > 0

@@ -11,7 +11,7 @@ from tubekit.metrics import (
     AVG_DELTA,
     AVG_MAP_GRID,
     GroundTruthTube,
-    average_precision,
+    _class_ap,
     avg_map,
     evaluate_sweep,
     map_at,
@@ -21,9 +21,15 @@ from tubekit.metrics import (
 from tubekit.prediction import PredictionHorizon
 from tubekit.synth import NoiseModel, lane_dataset
 
+from records import MicroTubeDetection, records_by_video, records_of, stream_of
 from test_prediction import reference_predict_full_tube
 
 BOX = BoundingBox(0, 0, 10, 10)
+
+
+def average_precision(detections, gts, delta):
+    """AP of one class at one threshold."""
+    return _class_ap(detections, gts, [delta])[delta]
 
 
 def const_tube(frames, box=BOX):
@@ -246,7 +252,9 @@ class TestAveragePrecision:
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
-            average_precision([], {"v": [const_tube([1])]}, 0.0)
+            evaluate_sweep({}, {"v": (1, FrameSize(10, 10))},
+                           [GroundTruthTube("v", 0, const_tube([1]))], num_classes=1,
+                           horizon=PredictionHorizon(), deltas=[0.0], percentages=[100])
 
 
 class TestMapHelpers:
@@ -335,8 +343,8 @@ class TestEvaluateSweep:
         prev = 0
         for q in range(10, 101, 10):
             f_obs = obs(entry.num_frames, q)
-            stream = [d for d in streams[video_id] if d.t + d.delta <= f_obs]
-            tubes = build_tubes(stream, manifest.num_classes)
+            stream = [d for d in records_of(streams[video_id]) if d.t + d.delta <= f_obs]
+            tubes = build_tubes(stream_of(stream), manifest.num_classes)
             frames = max((len(t.detected) for t in tubes), default=0)
             assert frames >= prev
             prev = frames
@@ -346,7 +354,7 @@ class TestEvaluateSweep:
         push = OnlineLinker.push
 
         def recording_push(linker, chunk):
-            pushed.setdefault(id(linker), []).extend(chunk)
+            pushed.setdefault(id(linker), []).extend(records_of(chunk))
             push(linker, chunk)
 
         monkeypatch.setattr(OnlineLinker, "push", recording_push)
@@ -361,7 +369,8 @@ class TestEvaluateSweep:
             percentages=range(10, 101, 10),
         )
         # Each linker saw its video's stream once, in order.
-        assert sorted(pushed.values(), key=repr) == sorted(streams.values(), key=repr)
+        assert sorted(pushed.values(), key=repr) == sorted(records_by_video(streams).values(),
+                                                           key=repr)
 
     def test_aps_at_full_observation_computed_once(self, monkeypatch):
         import tubekit.metrics as metrics
@@ -470,8 +479,6 @@ class TestSweepHandComputed:
     """
 
     def build(self):
-        from tubekit.linking import MicroTubeDetection
-
         gt_box = BOX  # (0,0,10,10)
         near = box_with_iou(1 / 3)  # IoU exactly 1/3 with BOX
         far = BoundingBox(60, 60, 80, 80)
@@ -485,7 +492,7 @@ class TestSweepHandComputed:
 
         stream = [det(near, 0.8), det(far, 0.9)]
         report = evaluate_sweep(
-            detections_by_video={"v": stream},
+            detections_by_video={"v": stream_of(stream)},
             video_meta={"v": (4, FrameSize(100, 100))},
             gt_tubes=[gt],
             num_classes=1,

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from tubekit.geometry import BoundingBox, FrameSize, clip_box, extrapolate, iou
-from tubekit.linking import (
-    ActionTube,
-    LinkParams,
-    MicroTubeDetection,
-    PredictionPayload,
-    build_tubes,
-)
+from tubekit.linking import ActionTube, LinkParams, build_tubes
 from tubekit.prediction import (
     VELOCITY_WINDOW,
     PredictionHorizon,
@@ -19,6 +13,8 @@ from tubekit.prediction import (
     predict_full_tube,
 )
 from tubekit.synth import NoiseModel, lane_dataset
+
+from records import MicroTubeDetection, PredictionPayload, records_of, stream_of
 
 FRAME = FrameSize(320, 240)
 
@@ -116,7 +112,7 @@ def make_stream(frames, horizon, vx=2.0, class_id=0, box_fn=None):
 
 def linked_tube(now, horizon, vx=2.0, box_fn=None):
     stream = make_stream(range(1, now), horizon, vx=vx, box_fn=box_fn)
-    tubes = build_tubes(stream, num_classes=2)
+    tubes = build_tubes(stream_of(stream), num_classes=2)
     assert len(tubes) == 1
     return tubes[0]
 
@@ -131,7 +127,7 @@ class TestAssembleFuture:
         member = MicroTubeDetection(t=7, delta=1, box_t=box, box_t_plus_delta=box,
                                     class_scores=scores(), predictions=payload)
         tube = ActionTube(class_id=0, tube_score=0.9, detected={7: box, 8: box},
-                          predicted={}, members=(member,))
+                          predicted={}, members=stream_of([member]))
         out = assemble_future(tube, now=8, horizon=horizon)
         assert set(out) == {12, 17, 22}
         assert out[12] == payload.future_boxes[0]
@@ -142,7 +138,7 @@ class TestAssembleFuture:
         tube = linked_tube(now=10, horizon=horizon)
         # members at t=1..9; frame 14 is predicted by both t=9 (k=1) and t=4 (k=2)
         marker = BoundingBox(300, 200, 310, 210)
-        members = list(tube.members)
+        members = records_of(tube.members)
         old = members[3]  # t = 4
         members[3] = MicroTubeDetection(
             t=old.t, delta=old.delta, box_t=old.box_t, box_t_plus_delta=old.box_t_plus_delta,
@@ -152,10 +148,10 @@ class TestAssembleFuture:
             )),
         )
         tube = ActionTube(class_id=tube.class_id, tube_score=tube.tube_score,
-                          detected=tube.detected, predicted={}, members=tuple(members))
+                          detected=tube.detected, predicted={}, members=stream_of(members))
         out = assemble_future(tube, now=10, horizon=horizon)
         assert out[14] != marker
-        assert out[14] == tube.members[-1].predictions.future_boxes[0]
+        assert out[14] == records_of(tube.members)[-1].predictions.future_boxes[0]
 
     def test_mean_aggregate_averages(self):
         horizon = PredictionHorizon(0, 1, 2)
@@ -169,7 +165,7 @@ class TestAssembleFuture:
                                 class_scores=scores(),
                                 predictions=PredictionPayload(future_boxes=(high, high)))
         tube = ActionTube(class_id=0, tube_score=0.9, detected={1: box, 2: box, 3: box},
-                          predicted={}, members=(m1, m2))
+                          predicted={}, members=stream_of([m1, m2]))
         out = assemble_future(tube, now=3, horizon=horizon, aggregate="mean")
         # frame 4 = m2 k=2 only; frame 3 excluded (<= now); m1 k=2 covers 3
         assert set(out) == {4}
@@ -249,7 +245,7 @@ class TestPredictFullTube:
         with pytest.raises(ValueError):
             predict_full_tube(
                 ActionTube(class_id=0, tube_score=0.0, detected={1: BoundingBox(0, 0, 1, 1)},
-                           predicted={}, members=()),
+                           predicted={}, members=stream_of(())),
                 now=0, video_length=10, horizon=PredictionHorizon(0, 5, 1), frame=FRAME,
             )
 
@@ -270,8 +266,8 @@ class TestPredictFullTube:
                             horizon=horizon, delta=2)
         entry, stream = generate(spec, num_classes=1)
         f_obs = observed_frames(entry.num_frames, 50)
-        observed = [d for d in stream if d.t + d.delta <= f_obs]
-        tube = build_tubes(observed, 1)[0]
+        observed = [d for d in records_of(stream) if d.t + d.delta <= f_obs]
+        tube = build_tubes(stream_of(observed), 1)[0]
         full = predict_full_tube(tube, f_obs, 40, horizon, FRAME)
         assert sorted(full.detected) == list(range(1, 20, 2))
         assert sorted(full.predicted) == list(range(f_obs + 1, 41))
@@ -306,8 +302,8 @@ def completion_cases():
                                      noise=noise, horizon=horizon, delta=2)
     for stream in streams.values():
         for now in (13, 31, 47):
-            observed = [d for d in stream if d.t + d.delta <= now]
-            for tube in build_tubes(observed, 2, LinkParams(patience=2)):
+            observed = [d for d in records_of(stream) if d.t + d.delta <= now]
+            for tube in build_tubes(stream_of(observed), 2, LinkParams(patience=2)):
                 cases.append((tube, now, 60, horizon, "latest"))
     return cases
 

@@ -13,6 +13,8 @@ from tubekit.synth import (
     lane_dataset,
 )
 
+from records import records_of
+
 FRAME = FrameSize(320, 240)
 
 
@@ -81,7 +83,7 @@ class TestDetections:
         entry, dets = generate(spec, num_classes=1)
         boxes = entry.tubes[0].boxes
         assert len(dets) == 9
-        for d in dets:
+        for d in records_of(dets):
             assert d.box_t == boxes[d.t]
             assert d.box_t_plus_delta == boxes[d.t + 1]
             for k, fb in enumerate(d.predictions.future_boxes, start=1):
@@ -94,7 +96,7 @@ class TestDetections:
                             actors=(walking_actor(),),
                             noise=NoiseModel(miss_rate=1.0))
         _, dets = generate(spec, num_classes=1)
-        assert dets == []
+        assert records_of(dets) == []
 
     def test_false_positives_emitted(self):
         spec = ScenarioSpec(seed=0, num_frames=30, frame=FRAME,
@@ -121,7 +123,7 @@ class TestDetections:
         spec = ScenarioSpec(seed=1, num_frames=10, frame=FRAME,
                             actors=(walking_actor(class_id=2),))
         _, dets = generate(spec, num_classes=3)
-        for d in dets:
+        for d in records_of(dets):
             assert d.class_scores[2] > 0.99
 
     def test_class_id_must_fit(self):
@@ -134,8 +136,8 @@ class TestDetections:
         spec = ScenarioSpec(seed=1, num_frames=11, frame=FRAME,
                             actors=(walking_actor(),), delta=2)
         _, dets = generate(spec, num_classes=1)
-        assert [d.t for d in dets] == [1, 3, 5, 7, 9]
-        assert all(d.delta == 2 for d in dets)
+        assert [d.t for d in records_of(dets)] == [1, 3, 5, 7, 9]
+        assert all(d.delta == 2 for d in records_of(dets))
 
 
 class TestLaneDataset:
