@@ -14,6 +14,7 @@ draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,8 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         for name in ("center_sigma", "size_sigma", "score_temperature", "prediction_sigma"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         for name in ("false_positive_rate", "miss_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -144,7 +145,10 @@ def _class_scores(rng: np.random.Generator, class_id: int, num_classes: int,
 
 
 def _jitter_box(rng: np.random.Generator, box: BoundingBox, center_sigma: float,
-                size_sigma: float, frame: FrameSize) -> BoundingBox:
+                size_sigma: float, frame: FrameSize) -> tuple[float, float, float, float]:
+    """The corners of a jittered box, clipped to the frame as :func:`clip_box`
+    clips. Finite inputs and sigmas give a valid box: at least 1 px wide and
+    high before clipping, which keeps the corners in order."""
     # Additive form so that zero sigmas reproduce the input box exactly.
     dx, dy, dw, dh = rng.standard_normal(4)
     x_shift, y_shift = center_sigma * dx, center_sigma * dy
@@ -159,7 +163,9 @@ def _jitter_box(rng: np.random.Generator, box: BoundingBox, center_sigma: float,
     if y1 - y0 < 1.0:
         cy = 0.5 * (y0 + y1)
         y0, y1 = cy - 0.5, cy + 0.5
-    return clip_box(BoundingBox(x0, y0, x1, y1), frame)
+    w, h = float(frame.width), float(frame.height)
+    return (min(max(x0, 0.0), w), min(max(y0, 0.0), h),
+            min(max(x1, 0.0), w), min(max(y1, 0.0), h))
 
 
 def generate(
@@ -213,7 +219,7 @@ def generate(
                                    noise.prediction_sigma, 0.0, spec.frame)
             future_boxes = tuple(
                 _jitter_box(rng, path[t + k * horizon.delta_f],
-                            noise.prediction_sigma, 0.0, spec.frame).as_tuple()
+                            noise.prediction_sigma, 0.0, spec.frame)
                 for k in range(1, horizon.n + 1)
             )
             class_scores = _class_scores(rng, actor.class_id, num_classes,
@@ -221,10 +227,10 @@ def generate(
             if missed:
                 continue
             t_rows.append(t)
-            pairs.append((box_a.as_tuple(), box_b.as_tuple()))
+            pairs.append((box_a, box_b))
             scores.append(class_scores)
             future.append(future_boxes)
-            past.append(past_box.as_tuple())
+            past.append(past_box)
 
         emit_fp = rng.random() < noise.false_positive_rate
         fx = rng.uniform(0.0, spec.frame.width * 0.8)
@@ -259,7 +265,9 @@ def generate_dataset(
     videos: dict[str, VideoEntry] = {}
     streams: dict[str, MicroTubeStream] = {}
     for video_id, spec in specs.items():
-        videos[video_id], streams[video_id] = generate(spec, len(class_names), video_id)
+        entry, stream = generate(spec, len(class_names), video_id)
+        videos[video_id] = entry
+        streams[video_id] = stream
     return DatasetManifest(class_names=class_names, videos=videos), streams
 
 

@@ -43,6 +43,8 @@ class TestScenarioValidation:
             NoiseModel(miss_rate=1.5)
         with pytest.raises(ValueError):
             NoiseModel(center_sigma=-1.0)
+        with pytest.raises(ValueError, match="prediction_sigma must be finite"):
+            NoiseModel(prediction_sigma=float("inf"))
 
     def test_velocity_schedule_validated(self):
         with pytest.raises(ValueError, match="start at frame 1"):
