@@ -213,6 +213,59 @@ class TestDetectionRecords:
             read_detections(str(path))
 
 
+class TestBatchBoundaries:
+    """Files longer than the 2,048 lines the reader parses at once."""
+
+    @staticmethod
+    def write_lines(tmp_path, objs):
+        path = tmp_path / "long.jsonl"
+        path.write_text("".join(o if isinstance(o, str) else json.dumps(o) + "\n" for o in objs))
+        return str(path)
+
+    @staticmethod
+    def one_video(tmp_path, count):
+        """``count`` valid records of video v0, record i at t = i + 1."""
+        good = sample_line(tmp_path)
+        return [{**good, "video": "v0", "t": i + 1} for i in range(count)]
+
+    def test_synth_stream_roundtrips(self, tmp_path):
+        horizon = PredictionHorizon(2, 5, 3)
+        _, streams = lane_dataset(seed=3, num_videos=40, num_classes=3, horizon=horizon,
+                                  noise=NoiseModel(false_positive_rate=0.3))
+        assert sum(map(len, streams.values())) > 4096
+        path = str(tmp_path / "d.jsonl")
+        write_detections(streams, horizon, path)
+        assert records_by_video(read_detections(path)) == records_by_video(streams)
+
+    def test_bad_record_in_third_batch_named(self, tmp_path):
+        objs = self.one_video(tmp_path, 5000)
+        objs[4500] = {**objs[4500], "microtube": [float("nan")] + objs[4500]["microtube"][1:]}
+        objs[10:10] = ["\n"]
+        objs[3000:3000] = ["   \n"]
+        with pytest.raises(DataFormatError, match=r"long\.jsonl:4503: non-finite micro-tube"):
+            read_detections(self.write_lines(tmp_path, objs))
+
+    def test_layout_change_after_first_batch_named(self, tmp_path):
+        objs = self.one_video(tmp_path, 2100)
+        objs[2048:] = [{**o, "delta": 2} for o in objs[2048:]]
+        with pytest.raises(DataFormatError, match=r"long\.jsonl:2049: record layout"):
+            read_detections(self.write_lines(tmp_path, objs))
+
+    def test_descending_t_across_batches_named(self, tmp_path):
+        objs = self.one_video(tmp_path, 2100)
+        objs[2048] = {**objs[2048], "t": objs[2047]["t"] - 1}
+        with pytest.raises(DataFormatError,
+                           match=r"long\.jsonl:2049: non-monotone t: 2047 after 2048 in video 'v0'"):
+            read_detections(self.write_lines(tmp_path, objs))
+
+    def test_bad_record_before_broken_line_named(self, tmp_path):
+        objs = self.one_video(tmp_path, 3000)
+        objs[2500] = {**objs[2500], "scores": [0.5, 0.1, 0.1, 0.1]}
+        objs[2600] = '{"video": "v0"\n'
+        with pytest.raises(DataFormatError, match=r"long\.jsonl:2501: class scores must sum to 1"):
+            read_detections(self.write_lines(tmp_path, objs))
+
+
 def sample_manifest(num_frames=4):
     b = BoundingBox(1, 2, 30, 40)
     tube = GroundTruthTube("v0", 0, {f: b for f in range(1, num_frames + 1)})
