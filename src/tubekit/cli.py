@@ -15,7 +15,7 @@ from . import dataio, synth
 from .geometry import FrameSize
 from .linking import LinkParams, MicroTubeStream, build_tubes
 from .losses import run_grad_check
-from .metrics import AVG_DELTA, evaluate_sweep
+from .metrics import AVG_DELTA, evaluate_sweep, observed_frames
 from .prediction import PredictionHorizon, predict_full_tube
 
 DEFAULT_DELTA_LIST = tuple(sorted({0.2, 0.75} | {round(0.5 + 0.05 * k, 2) for k in range(10)}))
@@ -223,8 +223,6 @@ def _load_inputs(cfg: RunConfig, horizon: PredictionHorizon | None = None):
 
 
 def _linked_tubes(cfg: RunConfig, manifest, streams, observed_pct: int):
-    from .metrics import observed_frames
-
     out = {}
     for video_id, entry in manifest.videos.items():
         f_obs = observed_frames(entry.num_frames, observed_pct)

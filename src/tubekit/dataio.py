@@ -10,8 +10,10 @@ Formats (all coordinates are absolute pixels):
   (C+1 non-negative floats summing to 1, background last). ``delta``,
   ``horizon`` and the score count must agree across the whole file;
   records must be time-ordered within each video. A file is read into one
-  :class:`~tubekit.linking.MicroTubeStream` of columns per video; the
-  records are checked column by column, and the first bad one is named.
+  :class:`~tubekit.linking.MicroTubeStream` of columns per video. Each
+  rule is stated once, as a check over a batch's columns; a failing batch
+  is narrowed to its shortest failing prefix, whose last record is the
+  first bad one and is named.
   The past slot is always read and checked finite, but it is kept (as
   ``past``) only when ``delta_p > 0``. The writer formats the records from
   the same columns and fills the past slot with the box at t when a stream
@@ -70,23 +72,70 @@ def _fail(where: str, message: str) -> None:
     raise DataFormatError(f"{where}: {message}")
 
 
-def _as_number_list(value: object, where: str, what: str) -> list[float]:
-    # type(), not isinstance(): JSON true/false load as bool, a subclass of int.
-    if not isinstance(value, list) or not all(type(v) in (float, int) for v in value):
-        _fail(where, f"{what} must be a list of numbers, got {value!r}")
-    try:
-        return [float(v) for v in value]
-    except OverflowError:
-        _fail(where, f"{what} holds an integer too large for a float")
-
-
 def _as_int(value: object, where: str, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         _fail(where, f"{what} must be an integer, got {value!r}")
     return value
 
 
+class _Fault(Exception):
+    """A check failed. The message is right for the last item checked when
+    every item before it is good."""
+
+
+def _narrowed(check, items: list):
+    """``check(items)``; when that raises :class:`_Fault`, raise instead the
+    fault of the shortest failing prefix, with the prefix length as its
+    ``count``: the prefix's last item is the first bad one. A check must
+    judge each item by the items before it only, so that a prefix fails
+    exactly when it holds a bad item."""
+    try:
+        return check(items)
+    except _Fault as fault:
+        first = fault
+    good, bad = 0, len(items)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            check(items[:mid])
+            good = mid
+        except _Fault as fault:
+            bad, first = mid, fault
+    first.count = bad
+    raise first
+
+
+def _number_column(lists: list, what: str, last: object) -> np.ndarray:
+    """The numbers of JSON number lists, in one flat float array; ``last``
+    is the last list, named when a check fails."""
+    # type(), not isinstance(): JSON true/false load as bool, a subclass of int.
+    if not (all(type(v) is list for v in lists)
+            and set(map(type, chain.from_iterable(lists))) <= _NUMBER_TYPES):
+        raise _Fault(f"{what} must be a list of numbers, got {last!r}")
+    try:
+        return np.fromiter(chain.from_iterable(lists), float)
+    except OverflowError:
+        raise _Fault(f"{what} holds an integer too large for a float") from None
+
+
+def _first_bad_box(boxes: np.ndarray) -> int | None:
+    """Index of the first ``(N, 4)`` row that :class:`BoundingBox` rejects."""
+    bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _box_error(boxes) -> str | None:
+    """Why :class:`BoundingBox` rejects the first bad one of ``boxes``."""
+    for box in boxes:
+        try:
+            BoundingBox(*box)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
 _DETECTION_KEYS = frozenset({"video", "t", "delta", "horizon", "microtube", "prediction", "scores"})
+_REQUIRED_KEYS = _DETECTION_KEYS - {"prediction"}
 _NUMBER_TYPES = {float, int}
 _decode = json.JSONDecoder().raw_decode  # json.loads without its whitespace handling
 _INT64_MAX = np.iinfo(np.int64).max  # frame indices and horizons are read into int64 columns
@@ -98,50 +147,42 @@ def read_detections(
 ) -> dict[str, MicroTubeStream]:
     """Read a detection file into one validated, time-ordered stream per video.
 
-    The records are checked column by column; when any check fails, the
-    file is checked again record by record and the first bad record is
-    reported as ``path:line``. With ``expected_horizon`` given, the first
-    record whose horizon differs from it fails: its payload boxes would be
-    placed on the wrong frames.
+    Lines are parsed a batch at a time, and each batch is checked column
+    by column, layout and time order against the batches before it. A
+    failing batch is narrowed to its shortest failing prefix, whose last
+    record is the first bad one in the file; it is reported as
+    ``path:line``. With ``expected_horizon`` given, the first record whose
+    horizon differs from it fails: its payload boxes would be placed on the
+    wrong frames.
     """
     expected = None
     if expected_horizon is not None:
         expected = (expected_horizon.delta_p, expected_horizon.delta_f, expected_horizon.n)
-    try:
-        streams = _read_columns(path, expected)
-    except (json.JSONDecodeError, TypeError, ValueError, OverflowError):
-        streams = None
-    if streams is None:
-        _check_detection_records(path, expected)  # raises at the first bad record
-        raise AssertionError(f"{path}: records that pass one by one fail as columns")
-    return streams
-
-
-def _decode_line(line: str) -> object:
-    obj, end = _decode(line)
-    if end != len(line):
-        raise json.JSONDecodeError("Extra data", line, end)
-    return obj
-
-
-def _read_columns(path: str, expected: tuple | None) -> dict[str, MicroTubeStream] | None:
-    """The per-video streams of a detection file, or None when a record
-    fails a check of :func:`_check_detection_records`. Lines are parsed and
-    turned into columns a batch at a time, so the parsed objects of only one
-    batch are alive at once."""
-    parts = []
+    parts, lineno, first, last_t = [], 0, None, {}
     with open(path, "r", encoding="utf-8") as fh:
         for batch in iter(lambda: list(islice(fh, _BATCH_LINES)), []):
-            records = [_decode_line(line) for line in map(str.strip, batch) if line]
+            records, linenos, broken = [], [], None
+            for lineno, line in enumerate(map(str.strip, batch), start=lineno + 1):
+                if line:
+                    try:
+                        records.append(_decode_line(line))
+                    except json.JSONDecodeError as exc:
+                        # Checked after the records before it: the first bad line wins.
+                        broken = f"invalid JSON ({exc.msg})"
+                        break
+                    linenos.append(lineno)
             if records:
-                part = _batch_columns(records, expected)
-                if part is None:
-                    return None
+                try:
+                    part = _narrowed(lambda rs: _batch_columns(rs, expected, first, last_t),
+                                     records)
+                except _Fault as fault:
+                    _fail(f"{path}:{linenos[fault.count - 1]}", str(fault))
                 parts.append(part)
+                first, last_t = part[0], part[-1]
+            if broken:
+                _fail(f"{path}:{lineno}", broken)
     if not parts:
         return {}
-    if len({part[0] for part in parts}) != 1:
-        return None
     (delta, (delta_p, _, n), _), *_ = parts[0]
     videos = [video_id for part in parts for video_id in part[1]]
     t, pairs, scores, payload, slots = (np.concatenate([part[k] for part in parts])
@@ -157,24 +198,40 @@ def _read_columns(path: str, expected: tuple | None) -> dict[str, MicroTubeStrea
     rows_by_video: dict[str, list[int]] = {}
     for i, video_id in enumerate(videos):
         rows_by_video.setdefault(video_id, []).append(i)
-    streams = {}
-    for video_id, rows in rows_by_video.items():
-        if (np.diff(t[rows]) < 0).any():
-            return None
-        streams[video_id] = MicroTubeStream(
-            t[rows], delta, pairs[rows], scores[rows], payload[rows], future[rows],
-            None if past is None else past[rows])
-    return streams
+    return {video_id: MicroTubeStream(t[rows], delta, pairs[rows], scores[rows], payload[rows],
+                                      future[rows], None if past is None else past[rows])
+            for video_id, rows in rows_by_video.items()}
 
 
-def _batch_columns(records: list, expected: tuple | None) -> tuple | None:
-    """``(layout, videos, t, pairs, scores, payload, slots)`` of parsed
-    records, ``slots`` holding the prediction rows of the records that
-    carry one; None when a record fails a check that needs no other batch."""
-    without_prediction = _DETECTION_KEYS - {"prediction"}
-    if not all(type(r) is dict and r.keys() in (_DETECTION_KEYS, without_prediction)
+def _decode_line(line: str) -> object:
+    obj, end = _decode(line)
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return obj
+
+
+def _batch_columns(records: list, expected: tuple | None, first: tuple | None,
+                   last_t: Mapping[str, int]) -> tuple:
+    """``(layout, videos, t, pairs, scores, payload, slots, last_t)`` of
+    parsed records: ``slots`` holds the prediction rows of the records that
+    carry one, and ``last_t`` each video's last t up to this batch.
+
+    ``first`` is the layout of the file's first record and ``last_t`` each
+    video's last t in the batches before (None and empty for the first
+    batch). A record that breaks a rule raises :class:`_Fault`. The rules
+    run in one fixed order, so the message names the first rule that the
+    last record breaks when the records before it are good. The layout is
+    compared before the payload boxes and scores, which need one layout
+    to become arrays.
+    """
+    last = records[-1]
+    if not all(type(r) is dict and r.keys() in (_DETECTION_KEYS, _REQUIRED_KEYS)
                for r in records):
-        return None
+        if type(last) is not dict:
+            raise _Fault("record must be a JSON object")
+        missing = _REQUIRED_KEYS - last.keys()
+        raise _Fault(f"missing keys {sorted(missing)}" if missing
+                     else f"unknown keys {sorted(last.keys() - _DETECTION_KEYS)}")
     videos = [r["video"] for r in records]
     t = [r["t"] for r in records]
     deltas = [r["delta"] for r in records]
@@ -184,121 +241,69 @@ def _batch_columns(records: list, expected: tuple | None) -> tuple | None:
     scores = [r["scores"] for r in records]
     carried = [p for p in predictions if p is not None]
     # type(), not isinstance(): JSON true/false load as bool, a subclass of int.
-    if (set(map(type, videos)) != {str} or set(map(type, t)) != {int}
-            or set(map(type, deltas)) != {int}
-            or not all(type(h) is list and len(h) == 3 for h in horizons)
-            or set(map(type, chain.from_iterable(horizons))) != {int}
-            or not all(type(m) is list for m in microtubes + carried + scores)
-            or not set(map(type, chain.from_iterable(microtubes + carried + scores)))
-            <= _NUMBER_TYPES):
-        return None
-    layouts = set(zip(deltas, map(tuple, horizons), map(len, scores)))
-    if len(layouts) != 1:
-        return None
-    ((delta, horizon, width),) = layouts
-    delta_p, delta_f, n = horizon
-    if (delta_p < 0 or delta_f < 1 or n < 0 or delta < 1 or width < 2
-            or max(delta, *horizon) > _INT64_MAX
-            or (expected is not None and horizon != expected)):
-        return None
-    t = np.array(t, dtype=np.int64)
-    pairs = np.array(microtubes, dtype=float).reshape(len(records), 2, 4)
-    slots = np.array(carried, dtype=float).reshape(len(carried), 1 + n, 4)
-    scores = np.array(scores, dtype=float)
-    # Payload slots must be finite even when unused; cumsum adds the scores
-    # in order, as the record check does.
-    if ((t < 1).any() or not np.isfinite(slots).all() or not np.isfinite(pairs).all()
-            or (scores < 0.0).any()
-            or (np.abs(np.cumsum(scores, axis=1)[:, -1] - 1.0) > 1e-6).any()):
-        return None
-    for boxes in (pairs, slots if delta_p > 0 else slots[:, 1:]):
-        if (boxes[..., 0] > boxes[..., 2]).any() or (boxes[..., 1] > boxes[..., 3]).any():
-            return None
+    if set(map(type, videos)) != {str}:
+        raise _Fault(f"video id must be a string, got {last['video']!r}")
+    if not all(type(h) is list and len(h) == 3 for h in horizons):
+        raise _Fault(f"horizon must be [delta_p, delta_f, n], got {last['horizon']!r}")
+    if set(map(type, chain.from_iterable(horizons))) != {int}:
+        entry = next((v for v in last["horizon"] if type(v) is not int), None)
+        raise _Fault(f"horizon entry must be an integer, got {entry!r}")
+    distinct = set(map(tuple, horizons))
+    if expected is not None and distinct != {expected}:
+        raise _Fault(f"record horizon {tuple(last['horizon'])} differs from the requested "
+                     f"horizon {expected}")
+    if set(map(type, t)) != {int}:
+        raise _Fault(f"t must be an integer, got {last['t']!r}")
+    if min(t) < 1:
+        raise _Fault(f"t must be a frame index >= 1, got {last['t']}")
+    if set(map(type, deltas)) != {int}:
+        raise _Fault(f"delta must be an integer, got {last['delta']!r}")
+    if max(max(t), max(deltas), *chain.from_iterable(distinct)) > _INT64_MAX:
+        raise _Fault(f"t, delta and horizon entries must not exceed {_INT64_MAX}")
+    pairs = _number_column(microtubes, "microtube", last["microtube"])
+    slots = _number_column(carried, "prediction", last.get("prediction"))
+    values = _number_column(scores, "scores", last["scores"])
+    if any(delta_p < 0 or delta_f < 1 or n < 0 for delta_p, delta_f, n in distinct):
+        raise _Fault(f"invalid horizon {tuple(last['horizon'])}")
+    if set(map(len, microtubes)) != {8}:
+        raise _Fault(f"micro-tube needs 8 coordinates, got {len(last['microtube'])}")
+    pairs = pairs.reshape(len(records), 2, 4)
+    if not np.isfinite(pairs).all():
+        raise _Fault(f"non-finite micro-tube coordinates {pairs[-1].ravel().tolist()}")
+    if _first_bad_box(pairs.reshape(-1, 4)) is not None:
+        raise _Fault(f"inverted micro-tube box in {pairs[-1].ravel().tolist()}")
+    if min(deltas) < 1:
+        raise _Fault(f"delta must be >= 1, got {last['delta']}")
+    if min(map(len, scores)) < 2:
+        raise _Fault("class scores need at least one real class plus background")
+    layout = first or (deltas[0], tuple(horizons[0]), len(scores[0]))
+    if set(zip(deltas, map(tuple, horizons), map(len, scores))) != {layout}:
+        current = (last["delta"], tuple(last["horizon"]), len(last["scores"]))
+        raise _Fault(f"record layout {current} differs from first record {layout}")
+    delta, (delta_p, _, n), width = layout
+    if set(map(len, carried)) - {4 * (1 + n)}:
+        raise _Fault(f"prediction needs {4 * (1 + n)} coordinates for n={n}, "
+                     f"got {len(last.get('prediction') or ())}")
+    slots = slots.reshape(len(carried), 1 + n, 4)
+    # The past slot is checked finite even when delta_p = 0 leaves it unused.
+    if not np.isfinite(slots).all():
+        raise _Fault(f"non-finite prediction coordinates {slots[-1].ravel().tolist()}")
+    if _first_bad_box((slots if delta_p > 0 else slots[:, 1:]).reshape(-1, 4)) is not None:
+        past, *future = slots[-1].tolist()
+        raise _Fault(_box_error(future + [past] if delta_p > 0 else future))
+    values = values.reshape(len(records), width)
+    if (values < 0.0).any():
+        raise _Fault(f"negative class score in {tuple(values[-1].tolist())}")
+    # cumsum adds the scores in order, as sum() does.
+    if (np.abs(np.cumsum(values, axis=1)[:, -1] - 1.0) > 1e-6).any():
+        raise _Fault(f"class scores must sum to 1 within 1e-6, got {sum(values[-1].tolist())}")
+    latest = dict(last_t)
+    for video_id, t_k in zip(videos, t):
+        if t_k < latest.get(video_id, t_k):
+            raise _Fault(f"non-monotone t: {t_k} after {latest[video_id]} in video {video_id!r}")
+        latest[video_id] = t_k
     payload = np.array([p is not None for p in predictions], dtype=bool)
-    return (delta, horizon, width), videos, t, pairs, scores, payload, slots
-
-
-def _check_detection_records(path: str, expected: tuple | None) -> None:
-    """Check a detection file record by record; raise at the first bad one."""
-    reference: tuple[int, tuple[int, ...], int] | None = None
-    last_t: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)]
-    for lineno, line in lines:
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            _fail(where, f"invalid JSON ({exc.msg})")
-        if not isinstance(obj, dict):
-            _fail(where, "record must be a JSON object")
-        missing = _DETECTION_KEYS - {"prediction"} - obj.keys()
-        if missing:
-            _fail(where, f"missing keys {sorted(missing)}")
-        unknown = obj.keys() - _DETECTION_KEYS
-        if unknown:
-            _fail(where, f"unknown keys {sorted(unknown)}")
-        video_id = obj["video"]
-        if not isinstance(video_id, str):
-            _fail(where, f"video id must be a string, got {video_id!r}")
-        horizon_raw = obj["horizon"]
-        if not (isinstance(horizon_raw, list) and len(horizon_raw) == 3):
-            _fail(where, f"horizon must be [delta_p, delta_f, n], got {horizon_raw!r}")
-        horizon = tuple(_as_int(v, where, "horizon entry") for v in horizon_raw)
-        if expected is not None and horizon != expected:
-            _fail(where, f"record horizon {horizon} differs from the requested horizon {expected}")
-        t = _as_int(obj["t"], where, "t")
-        if t < 1:
-            _fail(where, f"t must be a frame index >= 1, got {t}")
-        delta = _as_int(obj["delta"], where, "delta")
-        if max(t, delta, *horizon) > _INT64_MAX:
-            _fail(where, f"t, delta and horizon entries must not exceed {_INT64_MAX}")
-        microtube = _as_number_list(obj["microtube"], where, "microtube")
-        prediction = obj.get("prediction")
-        if prediction is not None:
-            prediction = _as_number_list(prediction, where, "prediction")
-        scores = tuple(_as_number_list(obj["scores"], where, "scores"))
-        delta_p, delta_f, n = horizon
-        try:
-            if delta_p < 0 or delta_f < 1 or n < 0:
-                raise ValueError(f"invalid horizon {horizon}")
-            if len(microtube) != 8:
-                raise ValueError(f"micro-tube needs 8 coordinates, got {len(microtube)}")
-            if not all(map(math.isfinite, microtube)):
-                raise ValueError(f"non-finite micro-tube coordinates {microtube}")
-            x1, y1, x2, y2, x3, y3, x4, y4 = microtube
-            if x1 > x2 or y1 > y2 or x3 > x4 or y3 > y4:
-                raise ValueError(f"inverted micro-tube box in {microtube}")
-            if prediction is not None:
-                if len(prediction) != 4 * (1 + n):
-                    raise ValueError(f"prediction needs {4 * (1 + n)} coordinates for n={n}, "
-                                     f"got {len(prediction)}")
-                # The past slot is checked even when delta_p = 0 leaves it unused.
-                if not all(map(math.isfinite, prediction)):
-                    raise ValueError(f"non-finite prediction coordinates {prediction}")
-                for k in [*range(1, n + 1), *([0] if delta_p > 0 else [])]:
-                    BoundingBox(*prediction[4 * k: 4 * k + 4])
-            if delta < 1:
-                raise ValueError(f"delta must be >= 1, got {delta}")
-            if len(scores) < 2:
-                raise ValueError("class scores need at least one real class plus background")
-            if any(s < 0.0 for s in scores):
-                raise ValueError(f"negative class score in {scores}")
-            total = sum(scores)
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"class scores must sum to 1 within 1e-6, got {total}")
-        except ValueError as exc:
-            _fail(where, str(exc))
-        current = (delta, horizon, len(scores))
-        if reference is None:
-            reference = current
-        elif current != reference:
-            _fail(where, f"record layout {current} differs from first record {reference}")
-        if video_id in last_t and t < last_t[video_id]:
-            _fail(where, f"non-monotone t: {t} after {last_t[video_id]} in video {video_id!r}")
-        last_t[video_id] = t
+    return layout, videos, np.array(t, dtype=np.int64), pairs, values, payload, slots, latest
 
 
 def write_detections(
@@ -389,25 +394,16 @@ class DatasetManifest:
         return [t for v in self.videos.values() for t in v.tubes]
 
 
-def _first_bad_box(boxes: np.ndarray) -> int | None:
-    """Index of the first ``(N, 4)`` row that :class:`BoundingBox` rejects."""
-    bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
-    return int(np.argmax(bad)) if bad.any() else None
-
-
-def _ground_truth_boxes(rows: list) -> Segment | None:
-    """Frames 1..len(rows) of four-number box rows, or None when a row is
-    not a valid box."""
-    # type(), not isinstance(): JSON true/false load as bool, a subclass of int.
-    if not (all(type(row) is list and len(row) == 4 for row in rows)
-            and set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES):
-        return None
-    try:
-        boxes = np.array(rows, dtype=float).reshape(len(rows), 4)
-    except OverflowError:
-        return None
+def _ground_truth_boxes(rows: list) -> Segment:
+    """Frames 1..len(rows) of four-number box rows; raises :class:`_Fault`
+    when a row is not a valid box."""
+    what = f"frame {len(rows)} box"
+    boxes = _number_column(rows, what, rows[-1])
+    if set(map(len, rows)) != {4}:
+        raise _Fault(f"{what} needs 4 coordinates, got {len(rows[-1])}")
+    boxes = boxes.reshape(len(rows), 4)
     if _first_bad_box(boxes) is not None:
-        return None
+        raise _Fault(f"frame {len(rows)}: {_box_error(boxes[-1:].tolist())}")
     return Segment(np.arange(1, len(rows) + 1), boxes)
 
 
@@ -462,16 +458,10 @@ def read_manifest(path: str) -> DatasetManifest:
             if not isinstance(rows, list) or len(rows) != num_frames:
                 got = len(rows) if isinstance(rows, list) else type(rows).__name__
                 _fail(twhere, f"tube must cover all {num_frames} frames, got {got} rows")
-            boxes = _ground_truth_boxes(rows)
-            if boxes is None:  # name the first bad frame
-                for f, row in enumerate(rows, start=1):
-                    coords = _as_number_list(row, twhere, f"frame {f} box")
-                    if len(coords) != 4:
-                        _fail(twhere, f"frame {f} box needs 4 coordinates, got {len(coords)}")
-                    try:
-                        BoundingBox(*coords)
-                    except ValueError as exc:
-                        _fail(twhere, f"frame {f}: {exc}")
+            try:
+                boxes = _narrowed(_ground_truth_boxes, rows)
+            except _Fault as fault:
+                _fail(twhere, str(fault))
             tubes.append(GroundTruthTube(video_id=video_id, class_id=class_id, boxes=boxes))
         videos[video_id] = VideoEntry(video_id, num_frames, frame, tuple(tubes))
     return DatasetManifest(class_names=tuple(classes), videos=videos)
@@ -556,10 +546,7 @@ def _segment_rows(rows: object, where: str, what: str) -> Segment:
                      f"after {frames[k]:g}")
     bad = _first_bad_box(values[:, 1:])
     if bad is not None:
-        try:
-            BoundingBox(*values[bad, 1:].tolist())
-        except ValueError as exc:
-            _fail(where, f"{what} frame {frames[bad]:g}: {exc}")
+        _fail(where, f"{what} frame {frames[bad]:g}: {_box_error([values[bad, 1:].tolist()])}")
     return Segment(frames.astype(np.int64), values[:, 1:])
 
 
@@ -584,12 +571,20 @@ def read_tubes(path: str) -> dict[str, list[ActionTube]]:
             _fail(where, f"video id must be a string, got {video_id!r}")
         if video_id in out:
             _fail(where, f"duplicate video id {video_id!r}")
-        raw_tubes = entry.get("tubes", [])
+        vwhere = f"{where} (video {video_id!r})"
+        if entry.keys() != {"id", "tubes"}:
+            _fail(vwhere, f"video entry must have keys ['id', 'tubes'], got {sorted(entry)}")
+        raw_tubes = entry["tubes"]
         if not isinstance(raw_tubes, list):
-            _fail(f"{where} (video {video_id!r})", f"'tubes' must be a list, got {raw_tubes!r}")
+            _fail(vwhere, f"'tubes' must be a list, got {raw_tubes!r}")
         tubes = []
         for k, raw in enumerate(raw_tubes):
             twhere = f"{where} (video {video_id!r} tube {k})"
+            if not isinstance(raw, dict):
+                _fail(twhere, f"tube must be an object, got {raw!r}")
+            if raw.keys() != {"class", "score", "detected", "predicted"}:
+                _fail(twhere, "tube must have keys ['class', 'detected', 'predicted', 'score'], "
+                              f"got {sorted(raw)}")
             try:
                 score = raw["score"]
                 # type(), not isinstance(): JSON true/false load as bool.
@@ -603,7 +598,7 @@ def read_tubes(path: str) -> dict[str, list[ActionTube]]:
                 ))
             except DataFormatError:
                 raise
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 _fail(twhere, str(exc))
         out[video_id] = tubes
     return out

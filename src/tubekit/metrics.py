@@ -262,8 +262,8 @@ def evaluate_sweep(
 ) -> EvalReport:
     """Run the full protocol over a grid of observation percentages.
 
-    ``detections_by_video`` holds one stream per video; a video without
-    one has no detections. Linking is one causal pass per video,
+    ``detections_by_video`` holds one stream per video of ``video_meta``;
+    a video without one has no detections. Linking is one causal pass per video,
     snapshotted at each frontier: for percentage q the video's
     :class:`OnlineLinker` is pushed, as one chunk, the micro-tubes fully
     inside the observed prefix that it has not seen yet,
@@ -304,6 +304,9 @@ def evaluate_sweep(
     without_gt = [v for v, classes in gt_classes_by_video.items() if not classes]
     if without_gt:
         raise ValueError(f"videos without ground-truth tubes: {sorted(without_gt)[:5]}")
+    unknown = detections_by_video.keys() - video_meta.keys()
+    if unknown:
+        raise ValueError(f"detections for videos missing from video_meta: {sorted(unknown)[:5]}")
 
     report = EvalReport(class_ids=class_ids)
 
@@ -396,7 +399,5 @@ def evaluate_sweep(
         else:
             add_map_cells("c_map", q, class_aps(pools["c_map"]))
 
-    report.cells.sort(
-        key=lambda c: (METRIC_ORDER.index(c.metric), EvalReport._delta_key(c.delta), c.observed_pct)
-    )
+    report.cells = report.sorted_cells()
     return report

@@ -1,4 +1,9 @@
+import ast
+import inspect
 import json
+import random
+import re
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -26,11 +31,16 @@ from tubekit.metrics import GroundTruthTube
 from tubekit.prediction import PredictionHorizon
 from tubekit.synth import NoiseModel, lane_dataset
 
+import records
 from records import (
+    FAULTS,
+    LINE_FAULTS,
     MicroTubeDetection,
     PredictionPayload,
+    corrupt,
     records_by_video,
     records_of,
+    reference_check_records,
     stream_of,
     streams_of,
 )
@@ -266,6 +276,131 @@ class TestBatchBoundaries:
             read_detections(self.write_lines(tmp_path, objs))
 
 
+# (delta, horizon, score count) of the files of the oracle corpus
+CORPUS_LAYOUTS = [(1, (0, 5, 2), 3), (2, (2, 5, 3), 4), (1, (0, 5, 0), 2), (1, (3, 5, 0), 5),
+                  (3, (1, 2, 1), 3)]
+
+
+def corpus_records(rng, count):
+    """``count`` valid detection records of one random layout, time-ordered
+    per video; some coordinates are integers and some records carry no
+    prediction or no prediction key."""
+    delta, horizon, width = rng.choice(CORPUS_LAYOUTS)
+    next_t = {f"v{k}": 50 + rng.randrange(5) for k in range(rng.randint(1, 4))}
+    out = []
+    for _ in range(count):
+        video = rng.choice(list(next_t))
+        t, next_t[video] = next_t[video], next_t[video] + rng.randrange(3)
+        coords = []
+        for _ in range(3 + horizon[2]):
+            x, y, w, h = (rng.uniform(0, 100) for _ in range(4))
+            box = [x, y, x + w + 1, y + h + 1]
+            coords += [round(v) for v in box] if rng.random() < 0.2 else box
+        scores = [rng.random() + 0.01 for _ in range(width)]
+        record = {"video": video, "t": t, "delta": delta, "horizon": list(horizon),
+                  "microtube": coords[:8], "prediction": coords[8:],
+                  "scores": [s / sum(scores) for s in scores]}
+        if rng.random() < 0.2:
+            record["prediction"] = None
+        elif rng.random() < 0.05:
+            del record["prediction"]
+        out.append(record)
+    return out
+
+
+def detections_of(objs):
+    """The records of a file the oracle accepts, grouped by video."""
+    delta_p, _, n = objs[0]["horizon"]
+    by_video = {}
+    for o in objs:
+        p = o.get("prediction")
+        payload = None if p is None else PredictionPayload(
+            future_boxes=tuple(BoundingBox(*p[4 * k: 4 * k + 4]) for k in range(1, n + 1)),
+            past_box=BoundingBox(*p[:4]) if delta_p > 0 else None)
+        m = o["microtube"]
+        by_video.setdefault(o["video"], []).append(MicroTubeDetection(
+            o["t"], o["delta"], BoundingBox(*m[:4]), BoundingBox(*m[4:]), tuple(o["scores"]),
+            payload))
+    return by_video
+
+
+def oracle_templates():
+    """A pattern for each message that reference_check_records can raise,
+    read from its source: the strings it passes to ``_fail`` and
+    ``ValueError``, and those of the helpers it calls, with their ``what``."""
+    def pattern(node, what):
+        if isinstance(node, ast.Constant):
+            return re.escape(node.value)
+        return "".join(re.escape(v.value) if isinstance(v, ast.Constant)
+                       else re.escape(what) if ast.unparse(v.value) == "what" else ".+"
+                       for v in node.values)
+
+    def messages(func, what=None):
+        for call in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func)))):
+            name = ast.unparse(call.func) if isinstance(call, ast.Call) else None
+            if name == "_fail" and not isinstance(call.args[1], ast.Call):  # not str(exc)
+                yield pattern(call.args[1], what)
+            elif name == "ValueError":
+                yield pattern(call.args[0], what)
+            elif name in ("_as_int", "_as_number_list"):
+                yield from messages(getattr(records, name), call.args[2].value)
+            elif name == "BoundingBox":
+                yield r"inverted box .+"  # its non-finite case is checked before
+
+    return set(messages(reference_check_records))
+
+
+def test_reader_matches_record_oracle(tmp_path):
+    """The reader and the record-by-record oracle agree on a seeded corpus of
+    files with 0-3 corrupted records: both accept a file, and the reader's
+    streams hold its records, or both name the same line. The messages are
+    equal when the line holds at most one fault."""
+    rng = random.Random(20261021)
+    kinds = list(FAULTS)
+    path = tmp_path / "corpus.jsonl"
+    templates = oracle_templates()
+    reached = set()
+    for i in range(300):
+        count = rng.randint(2049, 2080) if i % 60 == 0 else rng.randint(1, 30)
+        objs = corpus_records(rng, count)
+        lines = [json.dumps(o) for o in objs]
+        faults_at = {}
+        for _ in range(rng.choice([0, 1, 1, 1, 2, 3])):
+            near_boundary = count > 2048 and rng.random() < 0.5
+            k = rng.randrange(2040, min(count, 2060)) if near_boundary else rng.randrange(count)
+            if rng.random() < 0.06:
+                chosen = [rng.choice(list(LINE_FAULTS))]
+            else:
+                chosen = rng.sample(kinds, rng.choice([1, 1, 1, 2, 3]))
+            lines[k] = corrupt(objs[k], chosen, rng)
+            faults_at[k] = len(chosen)
+        for k in sorted(rng.sample(range(len(lines) + 1), rng.choice([0, 0, 1, 2])), reverse=True):
+            lines.insert(k, rng.choice(["", "  "]))
+            faults_at = {j + (j >= k): n for j, n in faults_at.items()}
+        path.write_text("\n".join(lines) + "\n")
+        horizon = objs[0]["horizon"]
+        for expected in (None, tuple(horizon)):
+            try:
+                reference_check_records(str(path), expected)
+                want = None
+            except DataFormatError as exc:
+                want = str(exc)
+            try:
+                got = read_detections(str(path), expected and PredictionHorizon(*expected))
+            except DataFormatError as exc:
+                assert want is not None, f"file {i}: only the reader fails: {exc}"
+                where, message = re.fullmatch(r"(.*?:\d+): (.*)", want, re.S).groups()
+                assert str(exc).startswith(where + ": "), f"file {i}: {exc} != {want}"
+                if faults_at.get(int(where.rsplit(":", 1)[1]) - 1, 0) <= 1:
+                    assert str(exc) == want, f"file {i}"
+                reached |= {p for p in templates if re.fullmatch(p, message, re.S)}
+            else:
+                assert want is None, f"file {i}: only the oracle fails: {want}"
+                objs = [json.loads(line) for line in lines if line.strip()]
+                assert records_by_video(got) == detections_of(objs), f"file {i}"
+    assert templates - reached == set()
+
+
 def sample_manifest(num_frames=4):
     b = BoundingBox(1, 2, 30, 40)
     tube = GroundTruthTube("v0", 0, {f: b for f in range(1, num_frames + 1)})
@@ -416,8 +551,23 @@ class TestTubesDocument:
         ({"videos": [{"id": "v", "tubes": [{"class": 0, "score": float("nan"), "predicted": [],
                                           "detected": [[1, 0, 0, 1, 1]]}]}]},
          r"t\.json \(video 'v' tube 0\): score must be a finite number, got nan"),
+        ({"videos": [{"id": "v", "tubs": [], "extra": 1}]},
+         r"t\.json \(video 'v'\): video entry must have keys \['id', 'tubes'\], "
+         r"got \['extra', 'id', 'tubs'\]"),
+        ({"videos": [{"id": "v"}]},
+         r"t\.json \(video 'v'\): video entry must have keys \['id', 'tubes'\], got \['id'\]"),
+        ({"videos": [{"id": "v", "tubes": [[0, 0.5]]}]},
+         r"t\.json \(video 'v' tube 0\): tube must be an object, got \[0, 0\.5\]"),
+        ({"videos": [{"id": "v", "tubes": [{"class": 0, "score": 0.5, "predicted": []}]}]},
+         r"t\.json \(video 'v' tube 0\): tube must have keys \['class', 'detected', "
+         r"'predicted', 'score'\], got \['class', 'predicted', 'score'\]"),
+        ({"videos": [{"id": "v", "tubes": [{"class": 0, "score": 0.5, "predicted": [],
+                                          "detected": [[1, 0, 0, 1, 1]], "members": []}]}]},
+         r"t\.json \(video 'v' tube 0\): tube must have keys .*, got \['class', 'detected', "
+         r"'members', 'predicted', 'score'\]"),
     ], ids=["videos_str", "videos_dict", "video_str", "tubes_str", "score_bool", "score_str",
-            "score_nan"])
+            "score_nan", "video_unknown_key", "video_missing_tubes", "tube_list",
+            "tube_missing_detected", "tube_unknown_key"])
     def test_bad_structure_names_location(self, tmp_path, doc, message):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(doc))

@@ -404,6 +404,21 @@ class TestEvaluateSweep:
                 percentages=(100,),
             )
 
+    def test_streams_of_unknown_videos_rejected(self):
+        manifest, streams = lane_dataset(seed=1, num_videos=2, num_classes=2)
+        streams["video_typo"] = streams.pop("video_000")
+        with pytest.raises(ValueError,
+                           match=r"detections for videos missing from video_meta: \['video_typo'\]"):
+            evaluate_sweep(
+                detections_by_video=streams,
+                video_meta=manifest.video_meta(),
+                gt_tubes=manifest.all_tubes(),
+                num_classes=2,
+                horizon=PredictionHorizon(0, 5, 3),
+                deltas=(0.5,),
+                percentages=(50,),
+            )
+
     def test_percentage_zero_rejected(self):
         manifest, streams = lane_dataset(seed=3, num_videos=1, num_classes=1)
         with pytest.raises(ValueError):
