@@ -263,8 +263,8 @@ def evaluate_sweep(
     """Run the full protocol over a grid of observation percentages.
 
     ``detections_by_video`` holds one stream per video of ``video_meta``;
-    a video without one has no detections. Linking is one causal pass per video,
-    snapshotted at each frontier: for percentage q the video's
+    a video without one has no detections. Linking is one causal pass per
+    video, snapshotted at each frontier: for percentage q the video's
     :class:`OnlineLinker` is pushed, as one chunk, the micro-tubes fully
     inside the observed prefix that it has not seen yet,
     and its snapshot is completed to the video end. Label accuracy, online

@@ -264,8 +264,8 @@ class TestBatchBoundaries:
     def test_descending_t_across_batches_named(self, tmp_path):
         objs = self.one_video(tmp_path, 2100)
         objs[2048] = {**objs[2048], "t": objs[2047]["t"] - 1}
-        with pytest.raises(DataFormatError,
-                           match=r"long\.jsonl:2049: non-monotone t: 2047 after 2048 in video 'v0'"):
+        message = r"long\.jsonl:2049: non-monotone t: 2047 after 2048 in video 'v0'"
+        with pytest.raises(DataFormatError, match=message):
             read_detections(self.write_lines(tmp_path, objs))
 
     def test_bad_record_before_broken_line_named(self, tmp_path):
@@ -396,8 +396,8 @@ def test_reader_matches_record_oracle(tmp_path):
                 reached |= {p for p in templates if re.fullmatch(p, message, re.S)}
             else:
                 assert want is None, f"file {i}: only the oracle fails: {want}"
-                objs = [json.loads(line) for line in lines if line.strip()]
-                assert records_by_video(got) == detections_of(objs), f"file {i}"
+                accepted = [json.loads(line) for line in lines if line.strip()]
+                assert records_by_video(got) == detections_of(accepted), f"file {i}"
     assert templates - reached == set()
 
 

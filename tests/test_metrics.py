@@ -407,8 +407,8 @@ class TestEvaluateSweep:
     def test_streams_of_unknown_videos_rejected(self):
         manifest, streams = lane_dataset(seed=1, num_videos=2, num_classes=2)
         streams["video_typo"] = streams.pop("video_000")
-        with pytest.raises(ValueError,
-                           match=r"detections for videos missing from video_meta: \['video_typo'\]"):
+        message = r"detections for videos missing from video_meta: \['video_typo'\]"
+        with pytest.raises(ValueError, match=message):
             evaluate_sweep(
                 detections_by_video=streams,
                 video_meta=manifest.video_meta(),
