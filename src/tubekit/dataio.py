@@ -292,6 +292,8 @@ def _batch_columns(records: list, expected: tuple | None, first: tuple | None,
         past, *future = slots[-1].tolist()
         raise _Fault(_box_error(future + [past] if delta_p > 0 else future))
     values = values.reshape(len(records), width)
+    if not np.isfinite(values).all():
+        raise _Fault(f"non-finite class scores {tuple(values[-1].tolist())}")
     if (values < 0.0).any():
         raise _Fault(f"negative class score in {tuple(values[-1].tolist())}")
     # cumsum adds the scores in order, as sum() does.
@@ -313,12 +315,14 @@ def write_detections(
 ) -> None:
     """Write detection streams, one record per row, straight from the columns.
 
-    A stream without a ``past`` column fills each payload's past slot with
-    the box at t. Reading the file back with :func:`read_detections` gives
-    the same streams when a stream has a ``past`` column exactly when
-    ``horizon.delta_p > 0``, as synth's do.
+    Each line holds the bytes ``json.dumps`` writes for the record's dict;
+    the values are finite, as the reader and synth make them, so a list's
+    ``str`` is its JSON form. A stream without a ``past`` column fills each
+    payload's past slot with the box at t. Reading the file back with
+    :func:`read_detections` gives the same streams when a stream has a
+    ``past`` column exactly when ``horizon.delta_p > 0``, as synth's do.
     """
-    layout = [horizon.delta_p, horizon.delta_f, horizon.n]
+    layout = json.dumps([horizon.delta_p, horizon.delta_f, horizon.n])
     with open(path, "w", encoding="utf-8") as fh:
         for video_id, stream in streams.items():
             n = len(stream)
@@ -332,17 +336,11 @@ def write_detections(
             slots = np.concatenate((past[:, None], stream.future), axis=1).reshape(n, -1)
             rows = zip(stream.t.tolist(), stream.pairs.reshape(n, 8).tolist(), slots.tolist(),
                        stream.payload.tolist(), stream.scores.tolist())
-            for t, microtube, prediction, carried, scores in rows:
-                obj = {
-                    "video": video_id,
-                    "t": t,
-                    "delta": stream.delta,
-                    "horizon": layout,
-                    "microtube": microtube,
-                    "prediction": prediction if carried else None,
-                    "scores": scores,
-                }
-                fh.write(json.dumps(obj) + "\n")
+            head = f'{{"video": {json.dumps(video_id)}, "t": '
+            middle = f', "delta": {stream.delta}, "horizon": {layout}, "microtube": '
+            fh.writelines(f'{head}{t}{middle}{microtube}, "prediction": '
+                          f'{prediction if carried else "null"}, "scores": {scores}}}\n'
+                          for t, microtube, prediction, carried, scores in rows)
 
 
 def detections_to_streams(
@@ -531,6 +529,12 @@ def _segment_rows(rows: object, where: str, what: str) -> Segment:
     must be integers in strictly ascending order."""
     if not isinstance(rows, list):
         _fail(where, f"{what} rows must be a list, got {rows!r}")
+    # type(), not isinstance(): JSON true/false load as bool, a subclass of int.
+    bad = next((i for i, row in enumerate(rows)
+                if type(row) is not list or not set(map(type, row)) <= _NUMBER_TYPES), None)
+    if bad is not None:
+        _fail(where, f"{what} rows must be [frame, x_min, y_min, x_max, y_max] numbers, "
+                     f"got {rows[bad]!r}")
     try:
         values = np.array(rows, dtype=float).reshape(len(rows), 5)
     except (TypeError, ValueError, OverflowError) as exc:

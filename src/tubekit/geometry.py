@@ -135,11 +135,17 @@ def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"box arrays must end in 4 coordinates, got {a.shape} and {b.shape}")
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = ix * iy
-    union = area_a + area_b - inter
-    overlapping = (area_a > 0.0) & (area_b > 0.0) & (ix > 0.0) & (iy > 0.0)
+    # In place where the operands are full-size temporaries.
+    ix = np.minimum(a[..., 2], b[..., 2])
+    ix -= np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3])
+    iy -= np.maximum(a[..., 1], b[..., 1])
+    overlapping = (area_a > 0.0) & (area_b > 0.0) & (ix > 0.0)
+    overlapping &= iy > 0.0
+    inter = ix
+    inter *= iy
+    union = area_a + area_b
+    union -= inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlapping)
 
 
@@ -263,14 +269,20 @@ def clip_box(box: BoundingBox, frame: FrameSize) -> BoundingBox:
 
 
 def clip_boxes(boxes: np.ndarray, frame: FrameSize) -> np.ndarray:
-    """:func:`clip_box` over the rows of a ``(..., 4)`` array, bit for bit.
+    """:func:`clip_box` over the rows of a ``(..., 4)`` array, bit for bit."""
+    return _clip_in_place(np.array(boxes, dtype=float), frame)
 
-    ``np.where`` keeps the scalar tie rule: ``max(-0.0, 0.0)`` is -0.0,
+
+def _clip_in_place(boxes: np.ndarray, frame: FrameSize) -> np.ndarray:
+    """Clip a float ``(..., 4)`` array in place and return it.
+
+    Masked copies keep the scalar tie rule: ``max(-0.0, 0.0)`` is -0.0,
     where ``np.maximum`` would return 0.0.
     """
     hi = np.array([frame.width, frame.height, frame.width, frame.height], dtype=float)
-    boxes = np.where(boxes < 0.0, 0.0, boxes)
-    return np.where(boxes > hi, hi, boxes)
+    np.copyto(boxes, 0.0, where=boxes < 0.0)
+    np.copyto(boxes, hi, where=boxes > hi)
+    return boxes
 
 
 def extrapolate(
@@ -295,36 +307,46 @@ def extrapolate(
             history frame.
         frame: clipping extent.
         window: number of trailing history entries the velocity is
-            estimated from (default 5).
+            estimated from, at least 2 (default 5).
 
     Returns:
         A ``(len(target_frames), 4)`` array, one row per target frame in
         the order given.
     """
-    frames = np.asarray(frames, dtype=np.int64)
     boxes = np.asarray(boxes, dtype=float)
     targets = np.asarray(target_frames, dtype=np.int64)
-    if len(frames) < 2:
+    history = np.asarray(frames, dtype=np.int64).tolist()
+    if len(history) < 2:
         raise ValueError("insufficient history")
-    if boxes.shape != (len(frames), 4):
-        raise ValueError(f"history needs one box per frame, got {boxes.shape} for {len(frames)}")
-    if np.any(frames[1:] <= frames[:-1]):
-        raise ValueError(f"history frames must be strictly increasing, got {frames.tolist()}")
-    last_frame = int(frames[-1])
-    if np.any(targets <= last_frame):
+    if window < 2:
+        raise ValueError(f"velocity window must be at least 2, got {window}")
+    if boxes.shape != (len(history), 4):
+        raise ValueError(f"history needs one box per frame, got {boxes.shape} for {len(history)}")
+    if any(b <= a for a, b in zip(history, history[1:])):
+        raise ValueError(f"history frames must be strictly increasing, got {history}")
+    last_frame = history[-1]
+    if len(targets) and targets.min() <= last_frame:
         raise ValueError(f"target frames must follow the last history frame {last_frame}")
 
-    recent_frames, recent = frames[-window:], boxes[-window:]
-    steps = (recent[1:] - recent[:-1]) / (recent_frames[1:] - recent_frames[:-1])[:, None]
-    velocity = np.zeros(4)
-    for step in steps:  # sequential adds from 0.0, in time order
-        velocity = velocity + step
-    velocity = velocity / len(steps)
+    recent_frames, recent = history[-window:], boxes[-window:].tolist()
+    velocity = [0.0, 0.0, 0.0, 0.0]
+    for fa, fb, a, b in zip(recent_frames, recent_frames[1:], recent, recent[1:]):
+        gap = fb - fa  # sequential adds from 0.0, in time order
+        velocity = [v + (cb - ca) / gap for v, ca, cb in zip(velocity, a, b)]
+    velocity = [v / (len(recent) - 1) for v in velocity]
 
-    out = recent[-1] + velocity * (targets - last_frame)[:, None]
+    out = np.multiply.outer(targets - last_frame, velocity)
+    out += recent[-1]
     # A shrinking box extrapolated past its collapse point inverts;
-    # collapse to the crossing midpoint to keep the box valid.
-    for lo, hi in ((0, 2), (1, 3)):
-        inverted = out[:, lo] > out[:, hi]
-        out[inverted, lo] = out[inverted, hi] = 0.5 * (out[inverted, lo] + out[inverted, hi])
-    return clip_boxes(out, frame)
+    # collapse to the crossing midpoint to keep the box valid. Rounding is
+    # monotone, so a valid last box whose sides do not approach each
+    # other cannot invert, and the masked pass is skipped.
+    x0, y0, x1, y1 = recent[-1]
+    vx0, vy0, vx1, vy1 = velocity
+    if not (x0 <= x1 and y0 <= y1 and vx0 <= vx1 and vy0 <= vy1):
+        lo, hi = out[:, :2], out[:, 2:]
+        inverted = lo > hi
+        mid = 0.5 * (lo + hi)
+        np.copyto(lo, mid, where=inverted)
+        np.copyto(hi, mid, where=inverted)
+    return _clip_in_place(out, frame)

@@ -49,29 +49,40 @@ class GroundTruthTube:
             raise ValueError("ground-truth tube frames must be contiguous")
 
 
-def _overlaps(dets: Sequence[Segment], gts: Sequence[Segment]) -> np.ndarray:
-    """Tube IoU of every detection segment with every ground-truth one, (D, G).
+def _video_overlaps(dets: Sequence[Sequence[Segment]],
+                    gts: Sequence[Sequence[Segment]]) -> np.ndarray:
+    """Tube IoU of every detection with every ground truth of its video.
 
-    The segments are scattered onto one dense frame axis, absent frames as
-    zero boxes (IoU 0), and one broadcast kernel scores every frame.
+    ``dets[v]`` and ``gts[v]`` hold the segments of video v. Returns a
+    ``(V, D_max, G_max)`` array; padded slots score 0. All segments are
+    scattered onto one dense frame axis, absent frames and padding as zero
+    boxes (IoU 0), and one broadcast kernel scores every frame of every
+    same-video pair.
     """
-    segments = [*dets, *gts]
+    d_max = max(map(len, dets), default=0)
+    g_max = max(map(len, gts), default=0)
+    videos, slots, segments = [], [], []  # detections in slots 0.., ground truth d_max..
+    for v, (video_dets, video_gts) in enumerate(zip(dets, gts)):
+        for start, group in ((0, video_dets), (d_max, video_gts)):
+            videos += [v] * len(group)
+            slots += range(start, start + len(group))
+            segments += group
+    lengths = [len(s) for s in segments]
+    if not sum(lengths):
+        return np.zeros((len(dets), d_max, g_max))
     frames = np.concatenate([s.frames for s in segments])
-    if not len(frames):
-        return np.zeros((len(dets), len(gts)))
     first = frames.min()
-    rows = np.repeat(np.arange(len(segments)), [len(s) for s in segments])
-    cols = frames - first
-    dense = np.zeros((len(segments), frames.max() - first + 1, 4))
-    present = np.zeros(dense.shape[:2], dtype=bool)
-    dense[rows, cols] = np.concatenate([s.boxes for s in segments])
-    present[rows, cols] = True
-    d = len(dets)
-    per_frame = box_iou(dense[:d, None], dense[None, d:])
+    at = (np.repeat(videos, lengths), np.repeat(slots, lengths), frames - first)
+    dense = np.zeros((len(dets), d_max + g_max, frames.max() - first + 1, 4))
+    present = np.zeros(dense.shape[:3], dtype=bool)
+    dense[at] = np.concatenate([s.boxes for s in segments])
+    present[at] = True
+    per_frame = box_iou(dense[:, :d_max, None], dense[:, None, d_max:])
     # cumsum adds frame by frame in ascending order, as the scalar sum over
-    # a small-int frame set did; np.sum would add pairwise.
+    # a small-int frame set did; np.sum would add pairwise. Frames outside
+    # a pair's segments add exact zeros.
     total = np.cumsum(per_frame, axis=-1)[..., -1]
-    union = np.count_nonzero(present[:d, None] | present[None, d:], axis=-1)
+    union = np.count_nonzero(present[:, :d_max, None] | present[:, None, d_max:], axis=-1)
     return np.divide(total, union, out=np.zeros_like(total), where=union > 0)
 
 
@@ -80,29 +91,7 @@ def tube_iou(a: FrameBoxes, b: FrameBoxes) -> float:
 
     Frames present on only one side score 0; two empty tubes score 0.
     """
-    return float(_overlaps([Segment.of(a)], [Segment.of(b)])[0, 0])
-
-
-def _every_point_ap(tp: Sequence[int], fp: Sequence[int], n_gt: int) -> float:
-    """Area under the PR curve with precision monotonized from the right."""
-    mrec = [0.0]
-    mpre = [0.0]
-    cum_tp = 0
-    cum_fp = 0
-    for t, f in zip(tp, fp):
-        cum_tp += t
-        cum_fp += f
-        mrec.append(cum_tp / n_gt)
-        mpre.append(cum_tp / (cum_tp + cum_fp))
-    mrec.append(1.0)
-    mpre.append(0.0)
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    ap = 0.0
-    for i in range(1, len(mrec)):
-        if mrec[i] != mrec[i - 1]:
-            ap += (mrec[i] - mrec[i - 1]) * mpre[i]
-    return ap
+    return float(_video_overlaps([[Segment.of(a)]], [[Segment.of(b)]])[0, 0, 0])
 
 
 def _class_ap(
@@ -110,48 +99,83 @@ def _class_ap(
     gts: Mapping[str, Sequence[FrameBoxes]],
     deltas: Sequence[float],
 ) -> dict[float, float | None]:
-    """AP of one class at several thresholds, sharing one IoU matrix."""
+    """AP of one class at several thresholds, in one pass over the pool.
+
+    Detections are ranked by score, ties by pool order. Each one claims the
+    best-IoU unclaimed ground truth of its video when that IoU reaches the
+    threshold (a true positive), and is a false positive otherwise. Claims
+    only compete within a video, so the rule runs for all videos and
+    thresholds at once, one within-video rank at a time.
+    """
     n_gt = sum(len(v) for v in gts.values())
-    if n_gt == 0:
-        return {d: None for d in deltas}
+    if n_gt == 0 or not len(deltas):
+        return dict.fromkeys(deltas)
+    # The strict best-IoU rule never picks an overlap of 0, so a true
+    # positive needs at least the smallest positive float.
+    thresholds = np.maximum(np.asarray(deltas, dtype=float), np.nextafter(0.0, 1.0))
+    scores = np.array([score for _, score, _ in detections], dtype=float)
+    order = np.argsort(-scores, kind="stable")
+    ranked: dict[str, list[int]] = {}  # global ranks of each video's detections
+    for rank, i in enumerate(order.tolist()):
+        video_id = detections[i][0]
+        if gts.get(video_id):
+            ranked.setdefault(video_id, []).append(rank)
+    tp = np.zeros((len(thresholds), len(detections)), dtype=bool)
+    if ranked:
+        videos = list(ranked)
+        overlaps = _video_overlaps(
+            [[Segment.of(detections[order[r]][2]) for r in ranked[v]] for v in videos],
+            [[Segment.of(g) for g in gts[v]] for v in videos])
+        real = np.arange(overlaps.shape[1]) < np.array([len(ranked[v]) for v in videos])[:, None]
+        ranks = np.zeros(overlaps.shape[:2], dtype=np.int64)
+        ranks[real] = [r for v in videos for r in ranked[v]]
+        # A detection whose best overlap misses the smallest threshold is a
+        # false positive at every threshold and claims nothing: skip it.
+        reach = overlaps.max(axis=2)
+        live = real & (reach >= thresholds.min())
+        # Until a live detection's best ground truth is also the best of an
+        # earlier one of its video, nothing it could pick is claimed: these
+        # detections take their best where it reaches the threshold, at once.
+        best = overlaps.argmax(axis=2)
+        picks = (best[..., None] == np.arange(overlaps.shape[2])) & live[..., None]
+        repeats = (picks & (np.cumsum(picks, axis=1) > 1)).any(axis=2)
+        first_repeat = np.where(repeats.any(axis=1), repeats.argmax(axis=1), overlaps.shape[1])
+        direct = live & (np.arange(overlaps.shape[1]) < first_repeat[:, None])
+        hits = direct & (reach >= thresholds[:, None, None])
+        claimed = (picks & hits[..., None]).any(axis=2)
+        # The rest run rank by rank, all videos and thresholds at once.
+        later = live & ~direct
+        n_later = later.sum(axis=1)
+        slots = np.argsort(~later, axis=1, kind="stable")[:, :n_later.max()]
+        steps = np.take_along_axis(overlaps, slots[..., None], axis=1)
+        k, v = np.ix_(range(len(thresholds)), range(len(videos)))
+        for step in range(slots.shape[1]):
+            # Claimed ground truth scores 0, which the rule never picks. A
+            # video out of later slots revisits the others: they add no new
+            # hit, and its claims no longer matter.
+            free = np.where(claimed, 0.0, steps[:, step])
+            hit = free.max(axis=2) >= thresholds[:, None]
+            claimed[k, v, free.argmax(axis=2)] |= hit
+            hits[k, v, slots[:, step]] |= hit
+        tp[:, ranks[real]] = hits[:, real]
+    return dict(zip(deltas, _every_point_aps(tp, n_gt).tolist()))
 
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i][1], i))
-    by_video: dict[str, list[int]] = {}
-    for i, (video_id, _, _) in enumerate(detections):
-        by_video.setdefault(video_id, []).append(i)
-    rows: list[list[float]] = [[] for _ in detections]
-    for video_id, indices in by_video.items():
-        video_gts = gts.get(video_id)
-        if video_gts:
-            matrix = _overlaps([Segment.of(detections[i][2]) for i in indices],
-                               [Segment.of(g) for g in video_gts])
-            for i, row in zip(indices, matrix.tolist()):
-                rows[i] = row
 
-    out = {}
-    for delta in deltas:
-        claimed: dict[str, set[int]] = {}
-        tp = []
-        fp = []
-        for i in order:
-            video_id = detections[i][0]
-            used = claimed.setdefault(video_id, set())
-            row = rows[i]
-            best_j = -1
-            best_ov = 0.0
-            for j, ov in enumerate(row):
-                if j not in used and ov > best_ov:
-                    best_ov = ov
-                    best_j = j
-            if best_j >= 0 and best_ov >= delta:
-                used.add(best_j)
-                tp.append(1)
-                fp.append(0)
-            else:
-                tp.append(0)
-                fp.append(1)
-        out[delta] = _every_point_ap(tp, fp, n_gt)
-    return out
+def _every_point_aps(tp: np.ndarray, n_gt: int) -> np.ndarray:
+    """Area under the PR curve, precision monotonized from the right, for
+    each row of ranked true-positive flags ``(K, N)``.
+
+    Adds and compares in the scalar order: ``cumsum`` adds the areas left
+    to right, terms where recall does not move add exact zeros, and
+    ``maximum.accumulate`` runs right to left.
+    """
+    cum_tp = np.cumsum(tp, axis=1)
+    k = len(tp)
+    recall = np.hstack((np.zeros((k, 1)), cum_tp / n_gt, np.ones((k, 1))))
+    precision = np.hstack((np.zeros((k, 1)), cum_tp / np.arange(1, tp.shape[1] + 1),
+                           np.zeros((k, 1))))
+    precision = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    return np.cumsum(np.diff(recall, axis=1) * precision[:, 1:], axis=1)[:, -1]
 
 
 def map_at(class_aps: Mapping[int, float | None]) -> float | None:

@@ -11,7 +11,7 @@ each run of frames without payload is extrapolated in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,37 +58,41 @@ def assemble_future(
     members = tube.members
     if not len(members):
         raise ValueError("tube has no member micro-tubes")
-    if horizon.n == 0 or not members.payload.any():
+    n, step = horizon.n, horizon.delta_f
+    if n == 0:
         return Segment.EMPTY
-    if members.future.shape[1] != horizon.n:
+    if members.future.shape[1] != n and members.payload.any():
         raise ValueError(f"payload carries {members.future.shape[1]} future boxes, "
-                         f"horizon says {horizon.n}")
-    reach = horizon.n * horizon.delta_f
-    range_end = int(members.t[-1]) + reach
-    if range_end <= now:
+                         f"horizon says {n}")
+    t = members.t
+    reach = n * step
+    if int(t[-1]) + reach <= now:
         return Segment.EMPTY
 
-    # Only members after now - reach predict frames after now.
-    recent = members[int(np.searchsorted(members.t, now - reach, side="right")):]
-    frames = recent.t[:, None] + horizon.delta_f * np.arange(1, horizon.n + 1)
-    covered = recent.payload[:, None] & (frames > now)
-    # Candidates in member order, then grouped by frame with that order kept.
-    frames, boxes = frames[covered], recent.future[covered]
-    if not len(frames):
+    # Only members after now - reach predict frames after now; their
+    # candidates are gathered as flat indices into their future boxes,
+    # in member order per frame.
+    first = int(t.searchsorted(now - reach, side="right"))
+    candidates: dict[int, list[int]] = {}
+    for i, (t_i, carried) in enumerate(zip(t[first:].tolist(),
+                                           members.payload[first:].tolist())):
+        if carried:
+            for k in range(max(0, (now - t_i) // step), n):  # frames t_i + (k+1)*step > now
+                candidates.setdefault(t_i + (k + 1) * step, []).append(i * n + k)
+    if not candidates:
         return Segment.EMPTY
-    order = np.argsort(frames, kind="stable")
-    frames, boxes = frames[order], boxes[order]
-    last = np.append(frames[1:] != frames[:-1], True)
+    frames = sorted(candidates)
+    future = members.future[first:].reshape(-1, 4)
     if aggregate == "latest":
-        return Segment(frames[last], boxes[last])
-    first = np.append(True, frames[1:] != frames[:-1])
-    group = np.cumsum(first) - 1
-    rank = np.arange(len(frames)) - np.flatnonzero(first)[group]
-    sums = np.zeros((group[-1] + 1, 4))
-    for r in range(rank.max() + 1):  # sequential adds, one candidate per frame at a time
-        at = rank == r
-        sums[group[at]] += boxes[at]
-    return Segment(frames[last], sums / np.bincount(group)[:, None])
+        return Segment(frames, future.take([candidates[f][-1] for f in frames], axis=0))
+    rows = future.tolist()
+    means = []
+    for f in frames:
+        total = [0.0, 0.0, 0.0, 0.0]
+        for i in candidates[f]:  # sequential adds, in member order
+            total = [a + b for a, b in zip(total, rows[i])]
+        means.append([a / len(candidates[f]) for a in total])
+    return Segment(frames, means)
 
 
 def predict_full_tube(
@@ -115,31 +119,36 @@ def predict_full_tube(
             f"(ends at {tube.last_detected_frame})"
         )
     if now >= video_length:
-        return replace(tube, predicted={})
+        return ActionTube(tube.class_id, tube.tube_score, tube.detected, Segment.EMPTY,
+                          tube.members)
 
+    detected = tube.detected
+    targets = np.arange(now + 1, video_length + 1)
     payload = assemble_future(tube, now, horizon, aggregate)
     if len(payload) and payload.frames[-1] > video_length:
         payload = payload.between(now + 1, video_length)
-    assembled = clip_boxes(payload.boxes, frame)
-    at = payload.frames
-    known_frames = np.concatenate((tube.detected.frames, at))
-    known_boxes = np.concatenate((tube.detected.boxes, assembled))
-
-    boxes = np.empty((video_length - now, 4))
-    boxes[at - (now + 1)] = assembled
-    # Each run of frames before a payload frame (or the video end) is
-    # extrapolated from the last known boxes before the run; known[:k] are
-    # the detected boxes plus the payload boxes preceding that frame.
-    start = now + 1
-    for k, stop in enumerate(at.tolist() + [video_length + 1], start=len(tube.detected)):
-        if stop > start:
-            history = slice(max(0, k - VELOCITY_WINDOW), k)
-            boxes[start - now - 1: stop - now - 1] = extrapolate(
-                known_frames[history], known_boxes[history], np.arange(start, stop), frame,
-                window=VELOCITY_WINDOW)
-        start = stop + 1
-
-    return replace(tube, predicted=Segment(np.arange(now + 1, video_length + 1), boxes))
+    if not len(payload):  # one run: the whole tail
+        boxes = extrapolate(detected.frames[-VELOCITY_WINDOW:], detected.boxes[-VELOCITY_WINDOW:],
+                            targets, frame, window=VELOCITY_WINDOW)
+    else:
+        assembled = clip_boxes(payload.boxes, frame)
+        known_frames = np.concatenate((detected.frames, payload.frames))
+        known_boxes = np.concatenate((detected.boxes, assembled))
+        at = payload.frames - (now + 1)
+        boxes = np.empty((len(targets), 4))
+        boxes[at] = assembled
+        # Each run of frames before a payload frame (or the video end) is
+        # extrapolated from the last known boxes before the run; known[:k]
+        # are the detected boxes plus the payload boxes preceding that frame.
+        lo = 0
+        for k, hi in enumerate(at.tolist() + [len(targets)], start=len(detected)):
+            if hi > lo:
+                history = slice(max(0, k - VELOCITY_WINDOW), k)
+                boxes[lo:hi] = extrapolate(known_frames[history], known_boxes[history],
+                                           targets[lo:hi], frame, window=VELOCITY_WINDOW)
+            lo = hi + 1
+    return ActionTube(tube.class_id, tube.tube_score, detected, Segment(targets, boxes),
+                      tube.members)
 
 
 def early_label(tubes: list[ActionTube]) -> int:

@@ -204,6 +204,8 @@ def reference_check_records(path: str, expected: tuple | None) -> None:
                 raise ValueError(f"delta must be >= 1, got {delta}")
             if len(scores) < 2:
                 raise ValueError("class scores need at least one real class plus background")
+            if not all(map(math.isfinite, scores)):
+                raise ValueError(f"non-finite class scores {scores}")
             if any(s < 0.0 for s in scores):
                 raise ValueError(f"negative class score in {scores}")
             total = sum(scores)
@@ -344,6 +346,7 @@ FAULTS = {
     "prediction_length": _resize("prediction", prediction=True),
     "microtube_nonfinite": _set_entry("microtube", [NAN, INF, -INF]),
     "prediction_nonfinite": _set_entry("prediction", [NAN, INF, -INF], prediction=True),
+    "scores_nonfinite": _set_entry("scores", [NAN, INF, -INF]),
     "scores_negative": _negative_score,
     "scores_sum": _scale_scores,
     "scores_short": _set("scores", [[1.0], []]),

@@ -144,6 +144,9 @@ class TestDetectionRecords:
             ({"prediction": prediction[:4] + [fx_max, fy_min, fx_min, fy_max] + prediction[8:]},
              "inverted box"),
             ({"scores": [1.2, -0.2, 0.0, 0.0]}, "negative class score"),
+            ({"scores": [float("nan"), 1.0, 0.0, 0.0]},
+             r"non-finite class scores \(nan, 1\.0, 0\.0, 0\.0\)"),
+            ({"scores": [1.0, 0.0, 0.0, -float("inf")]}, "non-finite class scores"),
             ({"delta": 0}, "delta must be >= 1, got 0"),
             ({"scores": [1.0]}, "at least one real class plus background"),
             ({"t": -1}, "t must be a frame index >= 1, got -1"),
@@ -565,9 +568,26 @@ class TestTubesDocument:
                                           "detected": [[1, 0, 0, 1, 1]], "members": []}]}]},
          r"t\.json \(video 'v' tube 0\): tube must have keys .*, got \['class', 'detected', "
          r"'members', 'predicted', 'score'\]"),
+        ({"videos": [{"id": "v", "tubes": [{"class": 0, "score": 0.5, "predicted": [],
+                                          "detected": [[True, "0", 0, "5", 5]]}]}]},
+         r"t\.json \(video 'v' tube 0\): detected rows must be \[frame, x_min, y_min, x_max, "
+         r"y_max\] numbers, got \[True, '0', 0, '5', 5\]"),
+        ({"videos": [{"id": "v", "tubes": [{"class": 0, "score": 0.5,
+                                          "detected": [[1, 0, 0, 5, 5]],
+                                          "predicted": [[2, 0, 0, 5, 5], [3, 0, False, 5, 5]]}]}]},
+         r"t\.json \(video 'v' tube 0\): predicted rows must be .* numbers, "
+         r"got \[3, 0, False, 5, 5\]"),
+        ({"videos": [{"id": "v", "tubes": [{"class": 0, "score": 0.5, "predicted": [],
+                                          "detected": [[1, 0, 0, 5, 5], "2,0,0,5,5"]}]}]},
+         r"t\.json \(video 'v' tube 0\): detected rows must be .* numbers, got '2,0,0,5,5'"),
+        ({"videos": [{"id": "v", "tubes": [{"class": 0, "score": 0.5, "predicted": [],
+                                          "detected": [[1, 0, 0, 5, None]]}]}]},
+         r"t\.json \(video 'v' tube 0\): detected rows must be .* numbers, "
+         r"got \[1, 0, 0, 5, None\]"),
     ], ids=["videos_str", "videos_dict", "video_str", "tubes_str", "score_bool", "score_str",
             "score_nan", "video_unknown_key", "video_missing_tubes", "tube_list",
-            "tube_missing_detected", "tube_unknown_key"])
+            "tube_missing_detected", "tube_unknown_key", "row_bool_and_str",
+            "predicted_row_bool", "row_str", "row_null"])
     def test_bad_structure_names_location(self, tmp_path, doc, message):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(doc))

@@ -328,6 +328,10 @@ class TestExtrapolate:
         with pytest.raises(ValueError, match="insufficient history"):
             extrapolate_pairs([(1, BoundingBox(0, 0, 10, 10))], [2], self.frame)
 
+    def test_window_of_one_rejected(self):
+        with pytest.raises(ValueError, match="velocity window must be at least 2, got 1"):
+            extrapolate([1, 2], [(0, 0, 10, 10)] * 2, [3], self.frame, window=1)
+
     def test_targets_must_follow_history(self):
         history = [(1, BoundingBox(0, 0, 10, 10)), (2, BoundingBox(0, 0, 10, 10))]
         with pytest.raises(ValueError, match="target frames"):

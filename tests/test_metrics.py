@@ -45,6 +45,19 @@ def box_with_iou(target_iou):
     return BoundingBox(s, 0, 10 + s, 10)
 
 
+def random_tube(rng, frames):
+    """Random boxes at ``frames``."""
+    lo = rng.uniform(0, 40, size=(len(frames), 2))
+    rows = np.hstack([lo, lo + rng.uniform(1, 30, size=lo.shape)]).tolist()
+    return {f: BoundingBox(*r) for f, r in zip(frames, rows)}
+
+
+def jittered(rng, box):
+    """``box`` with each corner moved by up to 3 pixels, kept valid."""
+    x0, y0, x1, y1 = np.asarray(box.as_tuple()) + rng.uniform(-3, 3, size=4)
+    return BoundingBox(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+
+
 def reference_tube_iou(a, b):
     """Scalar tube IoU over dicts, summed in set order: the oracle of the kernel."""
     a, b = dict(a), dict(b)
@@ -85,8 +98,31 @@ def reference_class_ap(detections, gts, deltas):
             else:
                 tp.append(0)
                 fp.append(1)
-        out[delta] = metrics._every_point_ap(tp, fp, n_gt)
+        out[delta] = reference_every_point_ap(tp, fp, n_gt)
     return out
+
+
+def reference_every_point_ap(tp, fp, n_gt):
+    """Area under the PR curve with precision monotonized from the right,
+    summed point by point: the oracle of ``metrics._every_point_aps``."""
+    mrec = [0.0]
+    mpre = [0.0]
+    cum_tp = 0
+    cum_fp = 0
+    for t, f in zip(tp, fp):
+        cum_tp += t
+        cum_fp += f
+        mrec.append(cum_tp / n_gt)
+        mpre.append(cum_tp / (cum_tp + cum_fp))
+    mrec.append(1.0)
+    mpre.append(0.0)
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    ap = 0.0
+    for i in range(1, len(mrec)):
+        if mrec[i] != mrec[i - 1]:
+            ap += (mrec[i] - mrec[i - 1]) * mpre[i]
+    return ap
 
 
 class TestTubeIoU:
@@ -249,6 +285,53 @@ class TestAveragePrecision:
         ]
         # recall reaches only 0.5; AP = 0.5 * 1.0
         assert average_precision(dets, gts, 0.5) == pytest.approx(0.5)
+
+    def test_pools_equal_scalar_reference(self):
+        """300 seeded pools: several videos, some without ground truth and
+        with uneven counts; scores tied across videos; tube IoUs of exactly
+        k/4 against thresholds 0.25 (the smallest positive one), 0.5 and
+        0.75; more detections than ground truth. A threshold of 0 still
+        needs a positive overlap."""
+        rng = np.random.default_rng(61)
+        reached = {"tie": 0, "at_threshold": 0, "gtless_video": 0, "uneven": 0, "more_dets": 0}
+        for _ in range(300):
+            videos = [f"v{k}" for k in range(int(rng.integers(1, 5)))]
+            gts = {}
+            for video_id in videos:
+                n = int(rng.choice([0, 1, 1, 2, 3, 4]))
+                if n or rng.random() < 0.5:  # a video without ground truth, listed or not
+                    first = int(rng.integers(1, 6))
+                    gts[video_id] = [random_tube(rng, range(first, first + 4)) for _ in range(n)]
+            detections = []
+            for _ in range(int(rng.integers(0, 13))):
+                video_id = videos[int(rng.integers(len(videos)))]
+                score = float(rng.choice([0.3, 0.5, 0.9]))
+                video_gts = gts.get(video_id)
+                if video_gts and rng.random() < 0.7:
+                    g = video_gts[int(rng.integers(len(video_gts)))]
+                    frames = sorted(g)
+                    if rng.random() < 0.5:  # the same boxes on k of 4 frames: IoU k/4
+                        keep = rng.choice(frames, size=int(rng.integers(1, 5)), replace=False)
+                        boxes = {int(f): g[f] for f in keep}
+                    else:  # jittered boxes, shifted in time
+                        shift = int(rng.integers(-2, 3))
+                        boxes = {f + shift: jittered(rng, g[f]) for f in frames if f + shift >= 1}
+                else:
+                    boxes = random_tube(rng, range(1, 1 + int(rng.integers(1, 8))))
+                detections.append((video_id, score, boxes))
+            deltas = [0.5, 0.25, 0.75, 0.6] + [0.0] * (rng.random() < 0.3)
+            got = _class_ap(detections, gts, deltas)
+            assert got == reference_class_ap(detections, gts, deltas)
+            scores = [(score, video_id) for video_id, score, _ in detections]
+            reached["tie"] += any(a[0] == b[0] and a[1] != b[1]
+                                  for a, b in itertools.combinations(scores, 2))
+            reached["at_threshold"] += any(
+                tube_iou(boxes, g) in deltas
+                for video_id, _, boxes in detections for g in gts.get(video_id, ()))
+            reached["gtless_video"] += any(not gts.get(v) for v in videos)
+            reached["uneven"] += len({len(gts.get(v, ())) for v in videos}) > 1
+            reached["more_dets"] += len(detections) > sum(map(len, gts.values()))
+        assert min(reached.values()) >= 30, reached
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):

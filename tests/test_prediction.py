@@ -52,13 +52,38 @@ def reference_extrapolate(history, target_frames, frame, window=5):
     return out
 
 
+def reference_assemble_future(tube, now, horizon, aggregate="latest"):
+    """Member-by-member dict gathering: the oracle of ``assemble_future``."""
+    members = tube.members
+    if not len(members):
+        raise ValueError("tube has no member micro-tubes")
+    if horizon.n == 0:
+        return {}
+    range_end = int(members.t[-1]) + horizon.n * horizon.delta_f
+    collected = {}
+    for t, carried, future in zip(members.t.tolist(), members.payload.tolist(),
+                                  members.future.tolist()):
+        if not carried:
+            continue
+        if len(future) != horizon.n:
+            raise ValueError(f"payload carries {len(future)} future boxes, horizon says {horizon.n}")
+        for k, box in enumerate(future, start=1):
+            f = t + k * horizon.delta_f
+            if now < f <= range_end:
+                collected.setdefault(f, []).append(box)
+    if aggregate == "latest":
+        return {f: BoundingBox(*boxes[-1]) for f, boxes in sorted(collected.items())}
+    return {f: BoundingBox(*(sum(column) / len(boxes) for column in zip(*boxes)))
+            for f, boxes in sorted(collected.items())}
+
+
 def reference_predict_full_tube(tube, now, video_length, horizon, frame, aggregate="latest"):
     """Frame-by-frame dict completion: the oracle of ``predict_full_tube``."""
     if now >= video_length:
         return replace(tube, predicted={})
     assembled = {
         f: clip_box(box, frame)
-        for f, box in assemble_future(tube, now, horizon, aggregate).items()
+        for f, box in reference_assemble_future(tube, now, horizon, aggregate).items()
         if f <= video_length
     }
     known = sorted({**tube.detected, **assembled}.items())
@@ -295,7 +320,8 @@ def completion_cases():
     # Members without payloads under a horizon with future boxes.
     tube = linked_tube(now=10, horizon=PredictionHorizon(0, 5, 0))
     cases.append((tube, 10, 30, PredictionHorizon(0, 5, 3), "mean"))
-    # Stride-2 noisy tubes closed by patience 2, at three frontiers.
+    # Stride-2 noisy tubes closed by patience 2, at three frontiers, and
+    # completed again at later frontiers, past the reach of their payloads.
     horizon = PredictionHorizon(0, 5, 3)
     noise = NoiseModel(center_sigma=2, size_sigma=2, false_positive_rate=0.3, miss_rate=0.6)
     manifest, streams = lane_dataset(seed=5, num_videos=2, num_classes=2, num_frames=60,
@@ -304,7 +330,16 @@ def completion_cases():
         for now in (13, 31, 47):
             observed = [d for d in records_of(stream) if d.t + d.delta <= now]
             for tube in build_tubes(stream_of(observed), 2, LinkParams(patience=2)):
-                cases.append((tube, now, 60, horizon, "latest"))
+                cases += [(tube, later, 60, horizon, "latest") for later in (now, now + 13)]
+    # A payload-free closed tube: members end at t=9, payloads at frame 24.
+    tube = linked_tube(now=10, horizon=horizon, vx=-3.0)
+    cases += [(tube, now, 60, horizon, "latest") for now in (24, 25, 41, 59)]
+    # One-micro-tube tubes: one member, two detected frames.
+    for horizon, now in ((PredictionHorizon(0, 5, 3), 6), (PredictionHorizon(0, 1, 2), 6),
+                         (PredictionHorizon(0, 5, 0), 6), (PredictionHorizon(0, 5, 3), 11),
+                         (PredictionHorizon(0, 5, 3), 30)):
+        (tube,) = build_tubes(stream_of(make_stream([5], horizon, vx=-4.0)), num_classes=2)
+        cases += [(tube, now, 40, horizon, aggregate) for aggregate in ("latest", "mean")]
     return cases
 
 
@@ -324,6 +359,15 @@ class TestAgainstScalarReference:
             got = [BoundingBox(*row) for row in extrapolate(frames, boxes, targets, FRAME).tolist()]
             want = reference_extrapolate(history, targets, FRAME)
             assert box_rows(dict(zip(targets, got))) == box_rows(dict(zip(targets, want)))
+
+    def test_assembled_payloads(self):
+        payload_free = 0
+        for tube, now, _, horizon, aggregate in completion_cases():
+            for mode in ("latest", "mean"):
+                got = assemble_future(tube, now, horizon, mode)
+                assert box_rows(got) == box_rows(reference_assemble_future(tube, now, horizon, mode))
+            payload_free += not len(got)
+        assert payload_free >= 30
 
     def test_completed_tubes(self):
         collapsed = signed_zero = 0
